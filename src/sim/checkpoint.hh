@@ -4,7 +4,7 @@
  *
  * A checkpoint is NOT a serialized machine state. The runtime models are
  * live C++20 coroutine frames, which cannot be serialized portably; but
- * the kernels are strictly bit-deterministic (PR 5-7 golden suites), so
+ * the kernels are strictly bit-deterministic (see the golden suites), so
  * re-executing the same spec up to cycle N is provably equivalent to
  * restoring a snapshot taken at cycle N. A checkpoint therefore records
  * only the deterministic cut point (cycle + sequence number) plus a
@@ -30,11 +30,10 @@ namespace picosim::sim
 
 /**
  * One deterministic cut point of a run. @c cycle is the boundary label
- * (a multiple of the checkpoint stride on sequential kernels; a window
- * barrier cycle under PDES), @c seq counts checkpoints taken in this
- * run (1-based), and @c digest is FNV-1a over the full stat dump text
- * at the boundary. @c statDump optionally carries the dump itself
- * (for divergence diagnostics; empty unless requested).
+ * (a multiple of the checkpoint stride), @c seq counts checkpoints
+ * taken in this run (1-based), and @c digest is FNV-1a over the full
+ * stat dump text at the boundary. @c statDump optionally carries the
+ * dump itself (for divergence diagnostics; empty unless requested).
  */
 struct Checkpoint
 {

@@ -238,36 +238,6 @@ keyTable()
          [](S &s, const std::string &v, const std::string &d) {
              s.bandwidthAlpha = parseDouble(d, v, 0.0, 1.0);
          }},
-        {"pdes",
-         [](const S &s) {
-             switch (s.pdes) {
-               case cpu::PdesParams::Partition::Off: return std::string("off");
-               case cpu::PdesParams::Partition::Force:
-                 return std::string("force");
-               case cpu::PdesParams::Partition::Auto: break;
-             }
-             return std::string("auto");
-         },
-         [](S &s, const std::string &v, const std::string &) {
-             s.pdes = static_cast<cpu::PdesParams::Partition>(parseChoice(
-                 "pdes policy", v, {{"auto", 0}, {"off", 1}, {"force", 2}}));
-         }},
-        {"pdes-domains",
-         [](const S &s) {
-             return s.pdesDomains == 0 ? std::string("auto")
-                                       : std::to_string(s.pdesDomains);
-         },
-         [](S &s, const std::string &v, const std::string &d) {
-             s.pdesDomains =
-                 v == "auto"
-                     ? 0
-                     : static_cast<unsigned>(parseInt(d, v, 2, 258));
-         }},
-        {"host-threads",
-         [](const S &s) { return std::to_string(s.hostThreads); },
-         [](S &s, const std::string &v, const std::string &d) {
-             s.hostThreads = static_cast<unsigned>(parseInt(d, v, 1, 256));
-         }},
         {"repeat",
          [](const S &s) { return std::to_string(s.repeat); },
          [](S &s, const std::string &v, const std::string &d) {
@@ -318,6 +288,32 @@ keyTable()
          }},
     };
     return table;
+}
+
+/**
+ * Keys of the removed conservative-PDES kernel, each with the one value
+ * every older serialized spec carries (see DESIGN.md, "Conservative
+ * PDES: tried, measured, removed"). Old spec files, journal records and
+ * BENCH stamps keep loading because that value is a no-op. Any other
+ * value asked for a partitioned machine that no longer exists, so it
+ * fails loudly rather than quietly re-running a different machine.
+ */
+struct LegacyKey
+{
+    const char *key;
+    const char *noopValue;
+};
+
+constexpr LegacyKey kLegacyKeys[] = {
+    {"pdes", "auto"}, {"pdes-domains", "auto"}, {"host-threads", "1"}};
+
+const LegacyKey *
+findLegacyKey(const std::string &key)
+{
+    for (const LegacyKey &lk : kLegacyKeys)
+        if (key == lk.key)
+            return &lk;
+    return nullptr;
 }
 
 /** Workloads the `nested` key folds between (or accepts as-is). */
@@ -433,6 +429,18 @@ RunSpec::setKey(const std::string &key, const std::string &value,
         wl[param] = parseInt(display_prefix + key, value, 0, kU64Max);
         return;
     }
+    if (const LegacyKey *lk = findLegacyKey(key)) {
+        if (value != lk->noopValue) {
+            throw SpecError(
+                display_prefix + key + "=" + value +
+                " is no longer supported: the conservative-PDES kernel "
+                "was removed (see DESIGN.md), so every run uses the "
+                "sequential event kernel; older specs load only with "
+                "pdes=auto, pdes-domains=auto and host-threads=1");
+        }
+        legacyKeys_ = true;
+        return;
+    }
     for (const KeyDef &kd : keyTable()) {
         if (key == kd.key) {
             kd.set(*this, value, display_prefix + key);
@@ -508,12 +516,12 @@ RunSpec::canonicalize(const std::string &display_prefix)
                         display_prefix + "cores=" + std::to_string(cores) +
                         " (each cluster needs at least one core)");
     }
-    if (pdes == cpu::PdesParams::Partition::Off && hostThreads > 1) {
+    if (legacyKeys_) {
         warnings.push_back(
-            "warning: " + display_prefix + "host-threads=" +
-            std::to_string(hostThreads) + " is ignored with " +
-            display_prefix + "pdes=off (the unpartitioned kernel is "
-                             "sequential)");
+            "warning: ignoring the removed keys pdes, pdes-domains and "
+            "host-threads (legacy no-op values; the conservative-PDES "
+            "kernel was removed)");
+        legacyKeys_ = false;
     }
     if (faultKind != sim::FaultKind::None) {
         if (faultUntil != 0 && faultUntil <= faultCycle) {
@@ -640,6 +648,17 @@ RunSpec::keys()
     for (const KeyDef &kd : keyTable())
         out.push_back(kd.key);
     return out;
+}
+
+bool
+RunSpec::isKey(const std::string &key)
+{
+    if (key.rfind("wl.", 0) == 0 || findLegacyKey(key) != nullptr)
+        return true;
+    for (const KeyDef &kd : keyTable())
+        if (key == kd.key)
+            return true;
+    return false;
 }
 
 std::string

@@ -4,10 +4,10 @@
  *
  * A RunSpec names everything that determines a run's simulated result —
  * the workload and its parameters, the runtime model, the machine
- * (cores, scheduler topology, memory system, ablation knobs), the
- * conservative-PDES configuration, and the harness controls (repeat,
- * seed, cycle limit). Front-ends never assemble cpu::SystemParams by
- * hand: they parse or mutate a RunSpec and hand it to spec::Engine.
+ * (cores, scheduler topology, memory system, ablation knobs), and the
+ * harness controls (repeat, seed, cycle limit). Front-ends never
+ * assemble cpu::SystemParams by hand: they parse or mutate a RunSpec
+ * and hand it to spec::Engine.
  *
  * Specs are written as `key=value` pairs — the same keys on the command
  * line (`--cores=16`), in spec files (one pair per line, `#` comments),
@@ -73,11 +73,6 @@ struct RunSpec
     unsigned coreReadyDepth = 2;
     double bandwidthAlpha = 0.058;
 
-    // -- Conservative PDES --
-    cpu::PdesParams::Partition pdes = cpu::PdesParams::Partition::Auto;
-    unsigned pdesDomains = 0; ///< 0 = derive from the topology
-    unsigned hostThreads = 1;
-
     // -- Harness controls --
     unsigned repeat = 1;
     std::uint64_t seed = 42; ///< fills a workload's wl.seed unless set
@@ -96,7 +91,10 @@ struct RunSpec
      * @p display_prefix is prepended to key names in diagnostics ("--"
      * when the pair came from a command-line flag, "" from a spec
      * file). Throws SpecError naming the key, the value and the legal
-     * range; unknown keys get a nearest-key suggestion.
+     * range; unknown keys get a nearest-key suggestion. The removed
+     * keys pdes, pdes-domains and host-threads are accepted only at the
+     * values every older serialized spec carries (auto, auto, 1), as
+     * no-ops; any other value throws.
      */
     void setKey(const std::string &key, const std::string &value,
                 const std::string &display_prefix = "");
@@ -107,8 +105,8 @@ struct RunSpec
      * accepted and rewritten to name + wl.* parameters), `nested` is
      * folded into the workload, every workload parameter is filled
      * with its schema default, and cross-key constraints are checked.
-     * Idempotent. @return warnings to surface (non-fatal combinations,
-     * e.g. host-threads with pdes=off); throws SpecError otherwise.
+     * Idempotent. @return warnings to surface (e.g. ignored legacy
+     * keys); throws SpecError on an inconsistent spec.
      */
     std::vector<std::string>
     canonicalize(const std::string &display_prefix = "");
@@ -139,8 +137,19 @@ struct RunSpec
     /** All fixed spec keys in serialization order (no wl.*). */
     static std::vector<std::string> keys();
 
+    /** True when setKey() recognizes @p key: a fixed key, a wl.*
+     *  parameter, or one of the removed legacy keys. */
+    static bool isKey(const std::string &key);
+
     /** Nearest fixed spec key to @p key by edit distance. */
     static std::string nearestKey(const std::string &key);
+
+  private:
+    /** Set by setKey() when the spec carried one of the removed
+     *  conservative-PDES keys at its legacy no-op value. canonicalize()
+     *  turns it into one warning and clears it, so it is never
+     *  serialized. */
+    bool legacyKeys_ = false;
 };
 
 /** CLI spelling of a runtime kind ("serial", "nanos-sw", ...). */

@@ -7,22 +7,18 @@
  * identity three ways: (1) taking checkpoints must not perturb a run,
  * (2) a run resumed from any recorded cut must reproduce the original
  * result field-for-field (and stat-for-stat) on every seed golden in
- * both kernels and under PDES at several host-thread counts, and
- * (3) a digest mismatch on replay must fail the run loudly instead of
- * silently producing a different experiment.
+ * both kernels, and (3) a digest mismatch on replay must fail the run
+ * loudly instead of silently producing a different experiment.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/workloads.hh"
 #include "runtime/harness.hh"
 #include "service/wire.hh"
-#include "spec/engine.hh"
-#include "spec/run_spec.hh"
 
 using namespace picosim;
 using namespace picosim::rt;
@@ -66,16 +62,6 @@ resultKey(const RunResult &res)
     RunResult r = res;
     r.resumedFromCycle = 0;
     return svc::wire::runResultJson(r);
-}
-
-/** Full stat dump of an inspected run — the digest's input text. */
-std::string
-statDumpOf(const spec::InspectedRun &run)
-{
-    std::ostringstream os;
-    run.system->stats().dump(os);
-    run.system->memory().stats().dump(os);
-    return os.str();
 }
 
 } // namespace
@@ -243,70 +229,3 @@ TEST(Checkpoint, StatDumpsCapturedOnlyOnRequest)
         EXPECT_EQ(dumped[i].digest, plain[i].digest);
     }
 }
-
-// -- PDES: forced cuts at window barriers -------------------------------
-
-namespace
-{
-
-spec::RunSpec
-pdesSpec(unsigned hostThreads)
-{
-    spec::RunSpec s;
-    s.workload = "task-free";
-    s.wl = {{"tasks", 2000}, {"deps", 1}, {"payload", 500}};
-    s.schedShards = 4;
-    s.pdes = cpu::PdesParams::Partition::Force;
-    s.hostThreads = hostThreads;
-    s.canonicalize();
-    return s;
-}
-
-} // namespace
-
-class PdesCheckpoint : public ::testing::TestWithParam<unsigned>
-{
-};
-
-TEST_P(PdesCheckpoint, ResumeBitIdenticalUnderPartitionedKernel)
-{
-    const spec::RunSpec s = pdesSpec(GetParam());
-
-    std::vector<sim::Checkpoint> cuts;
-    RunControls ctl;
-    ctl.checkpointEvery = 40'000;
-    ctl.onCheckpoint = [&cuts](const sim::Checkpoint &c) {
-        cuts.push_back(c);
-    };
-    spec::InspectedRun base = spec::Engine::runInspected(s, nullptr, ctl);
-    ASSERT_TRUE(base.result.completed);
-    ASSERT_GE(cuts.size(), 2u);
-    const std::string baseDump = statDumpOf(base);
-
-    // PDES cuts land on window barriers, not stride multiples, but the
-    // sequence is still strictly ordered and 1-based.
-    for (std::size_t i = 0; i < cuts.size(); ++i) {
-        EXPECT_EQ(cuts[i].seq, i + 1);
-        if (i > 0) {
-            EXPECT_GT(cuts[i].cycle, cuts[i - 1].cycle);
-        }
-    }
-
-    const sim::Checkpoint mid = cuts[cuts.size() / 2];
-    RunControls rctl;
-    rctl.resumeFrom = &mid;
-    spec::InspectedRun resumed =
-        spec::Engine::runInspected(s, nullptr, rctl);
-    EXPECT_EQ(resumed.result.status, RunStatus::Ok);
-    EXPECT_EQ(resumed.result.resumedFromCycle, mid.cycle);
-    EXPECT_EQ(resultKey(resumed.result), resultKey(base.result));
-    // Full stat-dump equality: every counter in the system, not just
-    // the fields RunResult surfaces.
-    EXPECT_EQ(statDumpOf(resumed), baseDump);
-}
-
-INSTANTIATE_TEST_SUITE_P(HostThreads, PdesCheckpoint,
-                         ::testing::Values(2u, 4u),
-                         [](const auto &info) {
-                             return "h" + std::to_string(info.param);
-                         });

@@ -17,8 +17,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "service/job_manager.hh"
+#include "service/journal.hh"
 #include "service/wire.hh"
 #include "spec/engine.hh"
 #include "spec/run_spec.hh"
@@ -252,4 +254,43 @@ TEST(Recovery, DrainLeavesTheRunResumable)
     ASSERT_TRUE(row.has_value() && row->done);
     EXPECT_EQ(resultKey(row->result),
               resultKey(spec::Engine::run(longSpec())));
+}
+
+// A journal written before the conservative-PDES kernel was removed
+// carries pdes=auto, pdes-domains=auto and host-threads=1 in every run
+// spec of its submit records. Such a record must still replay: the job
+// is re-dispatched after the restart and finishes with the golden cycles.
+TEST(Recovery, SubmitRecordWithLegacyKeysStillReplays)
+{
+    const std::string dir = freshDir("recover_legacy_keys");
+    spec::RunSpec golden; // task-free, Phentos, 8 cores: a seed golden
+    golden.workload = "task-free";
+    golden.canonicalize();
+    std::uint64_t id = 0;
+    {
+        JobManager mgr(journaled(dir, /*paused=*/true));
+        id = mgr.submit(singleRunJob(golden));
+    }
+
+    // Rewrite the submit record the way an older build journaled it.
+    std::vector<std::string> records = Journal::readAll(dir, nullptr);
+    const std::string anchor = "bandwidth-alpha=0.058";
+    unsigned edited = 0;
+    for (std::string &payload : records) {
+        const std::size_t at = payload.find(anchor);
+        if (at == std::string::npos)
+            continue;
+        payload.insert(at + anchor.size(),
+                       " pdes=auto pdes-domains=auto host-threads=1");
+        ++edited;
+    }
+    ASSERT_EQ(edited, 1u);
+    Journal::rewrite(dir, records);
+
+    JobManager mgr(journaled(dir));
+    EXPECT_EQ(mgr.wait(id).state, JobState::Done);
+    const auto row = mgr.waitRow(id, 0);
+    ASSERT_TRUE(row.has_value() && row->done);
+    EXPECT_EQ(row->result.status, rt::RunStatus::Ok);
+    EXPECT_EQ(row->result.cycles, 51566u);
 }

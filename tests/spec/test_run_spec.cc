@@ -45,9 +45,8 @@ TEST(RunSpec, EveryKeyNonDefaultRoundTrips)
         {"xshard-notify", "7"},    {"steal-penalty", "11"},
         {"gateway-depth", "6"},    {"rocc-latency", "4"},
         {"core-ready-depth", "3"}, {"bandwidth-alpha", "0.125"},
-        {"pdes", "force"},         {"pdes-domains", "4"},
-        {"host-threads", "2"},     {"repeat", "2"},
-        {"seed", "99"},            {"cycle-limit", "123456789"},
+        {"repeat", "2"},           {"seed", "99"},
+        {"cycle-limit", "123456789"},
     };
     for (const auto &[key, value] : pairs)
         s.setKey(key, value);
@@ -70,8 +69,7 @@ TEST(RunSpec, EachKeyRoundTripsIndividually)
         {"gateway-depth", "1"},   {"rocc-latency", "160"},
         {"core-ready-depth", "8"},
         {"bandwidth-alpha", "0.029"},
-        {"pdes", "off"},          {"pdes-domains", "258"},
-        {"host-threads", "256"},  {"repeat", "1000000"},
+        {"repeat", "1000000"},
         {"seed", "18446744073709551615"},
         {"cycle-limit", "1"},
     };
@@ -246,15 +244,73 @@ TEST(RunSpec, CrossKeyConstraints)
                      "--clusters=8 exceeds --cores=4 (each cluster needs "
                      "at least one core)");
     }
+}
 
-    RunSpec w;
-    w.pdes = cpu::PdesParams::Partition::Off;
-    w.hostThreads = 4;
-    const auto warnings = w.canonicalize("--");
+// Every spec serialized before the conservative-PDES kernel was removed
+// (--dump-spec files, journal submit records, BENCH spec stamps) carries
+// pdes=auto, pdes-domains=auto and host-threads=1. Exactly those values
+// still load as no-ops — from text, JSON and flags alike — with one
+// warning, and the canonical result is the spec without them.
+TEST(RunSpec, LegacyKeysLoadAsNoOpsWithOneWarning)
+{
+    const RunSpec plain = canon(RunSpec{});
+    const std::string kWarning =
+        "warning: ignoring the removed keys pdes, pdes-domains and "
+        "host-threads (legacy no-op values; the conservative-PDES kernel "
+        "was removed)";
+
+    std::vector<std::string> warnings;
+    EXPECT_EQ(RunSpec::parse(plain.serialize('\n') +
+                                 "\npdes=auto\npdes-domains=auto\n"
+                                 "host-threads=1\n",
+                             &warnings),
+              plain);
     ASSERT_EQ(warnings.size(), 1u);
-    EXPECT_EQ(warnings[0],
-              "warning: --host-threads=4 is ignored with --pdes=off (the "
-              "unpartitioned kernel is sequential)");
+    EXPECT_EQ(warnings[0], kWarning);
+
+    RunSpec json;
+    json.merge(R"({"pdes": "auto", "pdes-domains": "auto",)"
+               R"( "host-threads": 1})");
+    EXPECT_EQ(json.canonicalize(), std::vector<std::string>{kWarning});
+    EXPECT_EQ(json, plain);
+
+    RunSpec flag;
+    flag.setKey("host-threads", "1", "--");
+    EXPECT_EQ(flag.canonicalize("--"), std::vector<std::string>{kWarning});
+    EXPECT_EQ(flag, plain);
+    // Canonicalizing folds the marker away: the warning fires once and
+    // nothing legacy is ever serialized.
+    EXPECT_TRUE(flag.canonicalize("--").empty());
+    EXPECT_EQ(flag.serialize().find("pdes"), std::string::npos);
+    EXPECT_EQ(flag.serialize().find("host-threads"), std::string::npos);
+}
+
+// Any other value asked for the partitioned kernel, which no longer
+// exists: it fails loudly rather than quietly re-running as a different
+// machine.
+TEST(RunSpec, LegacyKeysRejectAnyOtherValue)
+{
+    const std::vector<std::pair<std::string, std::string>> rejected = {
+        {"pdes", "force"},      {"pdes", "off"},
+        {"pdes-domains", "4"},  {"host-threads", "2"},
+        {"host-threads", "0"},  {"host-threads", ""},
+    };
+    for (const auto &[key, value] : rejected) {
+        RunSpec s;
+        try {
+            s.setKey(key, value, "--");
+            FAIL() << key << "=" << value << " was accepted";
+        } catch (const SpecError &e) {
+            const std::string msg = e.what();
+            EXPECT_EQ(msg.rfind("--" + key + "=" + value +
+                                    " is no longer supported: the "
+                                    "conservative-PDES kernel was removed",
+                                0),
+                      0u)
+                << msg;
+            EXPECT_NE(msg.find("DESIGN.md"), std::string::npos) << msg;
+        }
+    }
 }
 
 TEST(RunSpec, UnknownWorkloadSuggestsNearest)
@@ -279,5 +335,5 @@ TEST(RunSpec, KeysAreUniqueAndNearestKeyWorks)
         for (std::size_t j = i + 1; j < keys.size(); ++j)
             EXPECT_NE(keys[i], keys[j]);
     EXPECT_EQ(RunSpec::nearestKey("cors"), "cores");
-    EXPECT_EQ(RunSpec::nearestKey("hostthreads"), "host-threads");
+    EXPECT_EQ(RunSpec::nearestKey("schedshards"), "sched-shards");
 }

@@ -13,10 +13,8 @@
  *               [--runtime=KIND] [--cores=N] [--jobs=N]
  *               [--mode=event|tickworld] [--mem=inline|timed] [--mshrs=N]
  *               [--bus-bytes=N] [--mem-occupancy=N] [--sched-shards=N]
- *               [--clusters=N] [--steal=on|off] [--host-threads=N]
- *               [--pdes=auto|off|force] [--pdes-domains=auto|N]
- *               [--repeat=N] [--seed=N] [--nested] [--stats]
- *               [--trace=FILE.json]
+ *               [--clusters=N] [--steal=on|off] [--repeat=N]
+ *               [--seed=N] [--nested] [--stats] [--trace=FILE.json]
  *
  *   NAME: a workload-registry name (see --list-workloads), optionally
  *         parameterized with --wl.PARAM flags, or a Figure-9 input label
@@ -117,17 +115,6 @@ nearestFlag(const std::string &key)
     for (const char *f : kDriverValueFlags)
         consider(f);
     return best;
-}
-
-bool
-isSpecKey(const std::string &key)
-{
-    if (key.rfind("wl.", 0) == 0)
-        return true;
-    for (const std::string &k : spec::RunSpec::keys())
-        if (key == k)
-            return true;
-    return false;
 }
 
 /**
@@ -261,7 +248,7 @@ runMain(int argc, char **argv)
     unsigned jobs = 0;
     for (const CliArg &a : args) {
         if (!isBareFlag(a.key) && !isDriverValueFlag(a.key) &&
-            !isSpecKey(a.key)) {
+            !spec::RunSpec::isKey(a.key)) {
             throw spec::SpecError(
                 "unknown flag '--" + a.key + "'" +
                 spec::didYouMean(a.key, nearestFlag(a.key), "--"));
