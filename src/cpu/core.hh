@@ -75,22 +75,9 @@ class Core final : public sim::Ticked
         }
     }
 
-    bool
-    active() const override
-    {
-        return ctx_.wakeAt() <= clock_.now() + 1;
-    }
-
-    Cycle wakeAt() const override { return ctx_.wakeAt(); }
-
-    /** Fused re-arm query: one HartContext::wakeAt() read instead of the
-     *  separate active()+wakeAt() pair. */
-    Cycle
-    nextSelfDue(Cycle next) const
-    {
-        const Cycle wake = ctx_.wakeAt();
-        return wake <= next ? next : wake;
-    }
+    /** The hart's resume cycle; the kernels clamp a past one to the
+     *  next cycle. */
+    Cycle nextDue(Cycle) const override { return ctx_.wakeAt(); }
 
   private:
     const sim::Clock &clock_;

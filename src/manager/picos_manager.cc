@@ -262,57 +262,14 @@ PicosManager::tick()
     tickSubmissionHandler();
 }
 
-bool
-PicosManager::active() const
+Cycle
+PicosManager::nextDue(Cycle next) const
 {
-    const Cycle next = clock_.now() + 1;
     if (grantedCore_ >= 0)
-        return true;
+        return next;
     // The encoder makes progress when collecting packets or when it can
     // emit its tuple; a stalled encoder (central queue full) sleeps until
     // the work-fetch path drains it.
-    if (encodeCount_ == 3 ? roccReadyQueue_.canPush() : sched_.readyValid())
-        return true;
-    if (finalBuffer_.nextReadyCycle() <= next)
-        return true;
-    if (routingQueue_.nextReadyCycle() <= next && !roccReadyQueue_.empty())
-        return true;
-    for (const CorePort &port : ports_) {
-        if (port.requestQueue.nextReadyCycle() <= next)
-            return true;
-        if (port.retireBuffer.nextReadyCycle() <= next)
-            return true;
-    }
-    return false;
-}
-
-Cycle
-PicosManager::wakeAt() const
-{
-    Cycle wake = kCycleNever;
-    wake = std::min(wake, finalBuffer_.nextReadyCycle());
-    if (!roccReadyQueue_.empty() || encodeCount_ > 0 ||
-        sched_.readyValid()) {
-        wake = std::min(wake, routingQueue_.nextReadyCycle());
-    }
-    for (const CorePort &port : ports_) {
-        wake = std::min(wake, port.requestQueue.nextReadyCycle());
-        wake = std::min(wake, port.retireBuffer.nextReadyCycle());
-        // Not work for the manager itself, but the kernel must advance
-        // the clock across the private-queue latency so a polling
-        // consumer (or a run predicate) can observe the delivery.
-        wake = std::min(wake, port.readyQueue.nextReadyCycle());
-    }
-    return wake;
-}
-
-Cycle
-PicosManager::nextSelfDue(Cycle next) const
-{
-    // Mirrors active() (any hit returns `next`) and wakeAt() (otherwise
-    // the min over the same port state) without walking the ports twice.
-    if (grantedCore_ >= 0)
-        return next;
     if (encodeCount_ == 3 ? roccReadyQueue_.canPush() : sched_.readyValid())
         return next;
     const Cycle fb = finalBuffer_.nextReadyCycle();
@@ -335,7 +292,9 @@ PicosManager::nextSelfDue(Cycle next) const
         if (rr <= next || rb <= next)
             return next;
         wake = std::min(wake, std::min(rr, rb));
-        // Not work for the manager itself: see wakeAt().
+        // Not work for the manager itself, but the kernel must advance
+        // the clock across the private-queue latency so a polling
+        // consumer (or a run predicate) can observe the delivery.
         wake = std::min(wake, port.readyQueue.nextReadyCycle());
     }
     return wake;

@@ -79,13 +79,10 @@ class PicosManager final : public sim::Ticked
 
     // -- Ticked --
     void tick() override;
-    bool active() const override;
-    Cycle wakeAt() const override;
 
-    /** Fused kernel re-arm query, exactly `active() ? next : wakeAt()`
-     *  in ONE pass over the port state — the kernel asks after every
-     *  tick, and the manager ticks nearly every evaluated cycle. */
-    Cycle nextSelfDue(Cycle next) const;
+    /** One pass over the port state: the kernel asks after every tick,
+     *  and the manager ticks nearly every evaluated cycle. */
+    Cycle nextDue(Cycle next) const override;
 
     // -- Introspection --
     unsigned numCores() const

@@ -70,8 +70,9 @@ class TimedMemory final : public sim::Ticked
 
     // -- Ticked --
     void tick() override;
-    bool active() const override { return false; }
-    Cycle wakeAt() const override { return kCycleNever; }
+    /** Runs only when issue() wakes it: the whole schedule is computed
+     *  at the issue cycle. */
+    Cycle nextDue(Cycle) const override { return kCycleNever; }
 
     const MemParams &params() const { return func_.params(); }
 

@@ -323,42 +323,9 @@ Picos::tick()
     tickReadyIssue();
 }
 
-bool
-Picos::active() const
-{
-    const Cycle next = clock_.now() + 1;
-    if (gwState_ != GwState::Collect || !collectBuffer_.empty())
-        return true;
-    if (readyIssuingId_ >= 0 || !readyPending_.empty())
-        return true;
-    if (subQueue_.nextReadyCycle() <= next)
-        return true;
-    if (retireQueue_.nextReadyCycle() <= next)
-        return true;
-    return false;
-}
-
 Cycle
-Picos::wakeAt() const
+Picos::nextDue(Cycle next) const
 {
-    Cycle wake = kCycleNever;
-    wake = std::min(wake, subQueue_.nextReadyCycle());
-    wake = std::min(wake, retireQueue_.nextReadyCycle());
-    // Surface pending ready packets so the manager's encoder gets ticked
-    // even when everything else is quiescent.
-    wake = std::min(wake, readyQueue_.nextReadyCycle());
-    if (gwState_ == GwState::Process)
-        wake = std::min(wake, gwBusyUntil_);
-    if (readyIssuingId_ >= 0)
-        wake = std::min(wake, readyBusyUntil_);
-    return wake;
-}
-
-Cycle
-Picos::nextSelfDue(Cycle next) const
-{
-    // Mirrors active() (any hit returns `next`) and wakeAt() without
-    // reading the queue state twice.
     if (gwState_ != GwState::Collect || !collectBuffer_.empty())
         return next;
     if (readyIssuingId_ >= 0 || !readyPending_.empty())
@@ -374,8 +341,8 @@ Picos::nextSelfDue(Cycle next) const
     // Surface pending ready packets so the manager's encoder gets ticked
     // even when everything else is quiescent.
     wake = std::min(wake, readyQueue_.nextReadyCycle());
-    // gwState_ == Collect and readyIssuingId_ < 0 here, so the busy-until
-    // terms of wakeAt() cannot apply.
+    // The gateway is collecting and no ready issue is in flight here, so
+    // neither busy-until horizon can apply.
     return wake;
 }
 

@@ -82,12 +82,7 @@ class Picos final : public sim::Ticked, public SchedulerIf
 
     // -- Ticked --
     void tick() override;
-    bool active() const override;
-    Cycle wakeAt() const override;
-
-    /** Fused kernel re-arm query: `active() ? next : wakeAt()` in one
-     *  pass over the pipeline state. */
-    Cycle nextSelfDue(Cycle next) const;
+    Cycle nextDue(Cycle next) const override;
 
     // -- Introspection (tests, stats) --
     unsigned inFlightTasks() const { return inFlight_; }

@@ -566,10 +566,8 @@ ShardedPicos::tick()
 }
 
 Cycle
-ShardedPicos::nextDue() const
+ShardedPicos::nextDue(Cycle next) const
 {
-    const Cycle now = clock_.now();
-    const Cycle poll = now + 1;
     Cycle due = kCycleNever;
     const auto merge = [&due](Cycle c) { due = std::min(due, c); };
 
@@ -581,9 +579,9 @@ ShardedPicos::nextDue() const
         // clock, so the deferral is deterministic.
         const bool down = shardDown(s);
         if (sh.gwTaskId >= 0)
-            merge(gateFault(poll, down)); // dep-table stall retry
+            merge(gateFault(next, down)); // dep-table stall retry
         if (!sh.inQueue.empty())
-            merge(gateFault(std::max(sh.inQueue.front().readyAt, poll),
+            merge(gateFault(std::max(sh.inQueue.front().readyAt, next),
                             down));
         merge(gateFault(sh.notifyQueue.nextReadyCycle(), down));
     }
@@ -591,7 +589,7 @@ ShardedPicos::nextDue() const
         const Cluster &cl = clusters_[c];
         const bool linkDown = clusterLinkDown(c);
         if (!cl.collectBuffer.empty() || cl.hasDecoded)
-            merge(gateFault(poll, linkDown));
+            merge(gateFault(next, linkDown));
         merge(gateFault(cl.subQueue.nextReadyCycle(), linkDown));
         const Cycle retire_ready = cl.retireQueue.nextReadyCycle();
         if (retire_ready != kCycleNever) {
@@ -604,29 +602,17 @@ ShardedPicos::nextDue() const
                           tasks_[id].state == TaskState::Running &&
                           shardDown(homeShardOf(id));
             }
-            merge(gateFault(std::max(retire_ready, poll), blocked));
+            merge(gateFault(std::max(retire_ready, next), blocked));
         }
         if (cl.readyIssuingId >= 0)
-            merge(std::max(cl.readyBusyUntil, poll));
+            merge(std::max(cl.readyBusyUntil, next));
         if (!cl.readyPending.empty())
-            merge(poll);
+            merge(next);
         // Surface pending ready packets so the cluster's manager gets
         // the clock advanced across the queue latency.
         merge(cl.readyQueue.nextReadyCycle());
     }
     return due;
-}
-
-bool
-ShardedPicos::active() const
-{
-    return nextDue() <= clock_.now() + 1;
-}
-
-Cycle
-ShardedPicos::wakeAt() const
-{
-    return nextDue();
 }
 
 bool

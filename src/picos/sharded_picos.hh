@@ -76,8 +76,8 @@ class ShardedPicos final : public sim::Ticked
 
     // -- Ticked --
     void tick() override;
-    bool active() const override;
-    Cycle wakeAt() const override;
+    /** Earliest cycle at which internal progress is possible. */
+    Cycle nextDue(Cycle next) const override;
 
     // -- Introspection (tests, stats) --
     unsigned numShards() const { return topo_.schedShards; }
@@ -194,9 +194,6 @@ class ShardedPicos final : public sim::Ticked
     void tickGateways();
     void tickRouters();
     void tickReadyIssue();
-
-    /** Earliest cycle at which internal progress is possible. */
-    Cycle nextDue() const;
 
     // -- Fault injection -------------------------------------------------
 

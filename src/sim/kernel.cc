@@ -233,7 +233,7 @@ Simulator::refreshNextEventCycle()
                 // Ticked (and re-armed from live state) this very cycle:
                 // any later same-cycle mutation comes with a requestWake
                 // by the kernel contract, so the self-schedule is fresh —
-                // skip the duplicate active()/wakeAt() computation that
+                // skip the duplicate nextDue() computation that
                 // dominated the fast-forward path.
                 anyValid = true;
                 return;
@@ -276,13 +276,21 @@ Simulator::refreshNextEventCycle()
     }
 }
 
+Cycle
+Simulator::evaluateCycle()
+{
+    if (mode_ == EvalMode::TickWorld) {
+        evaluateAll();
+        return nextDueAll();
+    }
+    evaluateDue();
+    return refreshNextEventCycle();
+}
+
 bool
 Simulator::run(DonePredicate done, Cycle limit)
 {
     stoppedByCheck_ = false;
-    if (mode_ == EvalMode::TickWorld)
-        return runTickWorld(done, limit);
-
     const Cycle start = clock_.now();
     while (true) {
         if (done())
@@ -298,9 +306,7 @@ Simulator::run(DonePredicate done, Cycle limit)
         }
         checkpointDue(clock_.now());
 
-        evaluateDue();
-
-        const Cycle next = refreshNextEventCycle();
+        const Cycle next = evaluateCycle();
         if (next == kCycleNever) {
             // Fully idle system: either done() holds now or the
             // simulation can never progress again.
@@ -313,17 +319,9 @@ Simulator::run(DonePredicate done, Cycle limit)
 void
 Simulator::runFor(Cycle n)
 {
-    if (mode_ == EvalMode::TickWorld) {
-        runForTickWorld(n);
-        return;
-    }
-
     const Cycle end = clock_.now() + n;
-    while (clock_.now() < end) {
-        evaluateDue();
-        const Cycle next = refreshNextEventCycle();
-        clock_.advanceTo(std::min(next == kCycleNever ? end : next, end));
-    }
+    while (clock_.now() < end)
+        clock_.advanceTo(std::min(evaluateCycle(), end));
 }
 
 // -- TickWorld reference implementation ---------------------------------
@@ -337,69 +335,17 @@ Simulator::evaluateAll()
     ++evaluatedCycles_;
 }
 
-bool
-Simulator::anyActive() const
-{
-    return std::any_of(ticked_.begin(), ticked_.end(),
-                       [](const Ticked *t) { return t->fastActive(); });
-}
-
 Cycle
-Simulator::nextWakeAll() const
+Simulator::nextDueAll() const
 {
-    Cycle wake = kCycleNever;
-    for (const Ticked *t : ticked_)
-        wake = std::min(wake, t->fastWakeAt());
-    return wake;
-}
-
-bool
-Simulator::runTickWorld(const DonePredicate &done, Cycle limit)
-{
-    const Cycle start = clock_.now();
-    while (true) {
-        if (done())
-            return true;
-        if (clock_.now() - start >= limit)
-            return false;
-        if (stopCheckDue()) {
-            stoppedByCheck_ = true;
-            return false;
-        }
-        checkpointDue(clock_.now());
-
-        evaluateAll();
-
-        if (anyActive()) {
-            clock_.advanceTo(clock_.now() + 1);
-            continue;
-        }
-        const Cycle wake = nextWakeAll();
-        if (wake == kCycleNever) {
-            // Fully idle system: either done() holds next check or the
-            // simulation can never progress again.
-            return done();
-        }
-        clock_.advanceTo(std::max(wake, clock_.now() + 1));
+    const Cycle next = clock_.now() + 1;
+    Cycle due = kCycleNever;
+    for (const Ticked *t : ticked_) {
+        due = std::min(due, t->fastDue(next));
+        if (due <= next)
+            return next; // nothing can beat the next cycle
     }
-}
-
-void
-Simulator::runForTickWorld(Cycle n)
-{
-    const Cycle end = clock_.now() + n;
-    while (clock_.now() < end) {
-        evaluateAll();
-        Cycle next = clock_.now() + 1;
-        if (!anyActive()) {
-            const Cycle wake = nextWakeAll();
-            if (wake != kCycleNever)
-                next = std::max(next, wake);
-            else
-                next = end;
-        }
-        clock_.advanceTo(std::min(next, end));
-    }
+    return due;
 }
 
 } // namespace picosim::sim

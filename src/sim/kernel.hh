@@ -27,17 +27,20 @@ enum class EvalMode : std::uint8_t
 {
     /**
      * Event-driven: components are evaluated only at cycles for which they
-     * are scheduled (self-rescheduling after each tick plus explicit
-     * requestWake() calls on external mutations). Same-cycle evaluations
-     * run in registration order, so results are bit-identical to TickWorld.
+     * are scheduled (re-armed at Ticked::nextDue() after each tick, plus
+     * explicit requestWake() calls on external mutations). Same-cycle
+     * evaluations run in registration order, so results are bit-identical
+     * to TickWorld.
      */
     EventDriven,
 
     /**
      * Reference tick-the-world kernel: every registered component is
-     * ticked, in registration order, for every cycle in which at least one
-     * reports active(); when all are quiescent the clock jumps to the
-     * minimum wakeAt(). Kept as the equivalence baseline.
+     * ticked, in registration order, at each evaluated cycle; the clock
+     * then advances to the minimum Ticked::nextDue(now + 1) over all
+     * components, clamped to now + 1 (so any component due at or before
+     * the next cycle keeps the world ticking every cycle). Kept as the
+     * equivalence baseline.
      */
     TickWorld,
 };
@@ -201,23 +204,31 @@ class Simulator
     /** File far-armed components whose cycle entered the wheel horizon. */
     void refileFar(Cycle now);
 
+    /**
+     * Evaluate the current cycle in the selected mode and return the
+     * next cycle to evaluate (kCycleNever when nothing is ever due
+     * again). The one step the run loops take; only this differs
+     * between the kernels.
+     */
+    Cycle evaluateCycle();
+
     /** Tick every component due at the current cycle, registration order. */
     void evaluateDue();
 
     /**
      * Earliest future cycle holding a due component, re-validating pure
-     * self-schedules against the components' live active()/wakeAt() so
-     * the fast-forward target matches the reference kernel's fresh global
+     * self-schedules against the components' live nextDue() so the
+     * fast-forward target matches the reference kernel's fresh global
      * minimum. kCycleNever when nothing is armed.
      */
     Cycle refreshNextEventCycle();
 
     // -- TickWorld reference implementation --
-    bool runTickWorld(const DonePredicate &done, Cycle limit);
-    void runForTickWorld(Cycle n);
     void evaluateAll();
-    bool anyActive() const;
-    Cycle nextWakeAll() const;
+
+    /** max(min over components of nextDue(now + 1), now + 1), or
+     *  kCycleNever when no component is ever due again. */
+    Cycle nextDueAll() const;
 
     StatGroup stats_;
     EvalMode mode_ = EvalMode::EventDriven;

@@ -225,7 +225,7 @@ class TimedPort
 
     /**
      * Earliest cycle at which the front element becomes consumable, or
-     * kCycleNever when empty. Used by components' wakeAt() logic.
+     * kCycleNever when empty. Used by components' nextDue() logic.
      */
     Cycle
     nextReadyCycle() const

@@ -6,7 +6,6 @@
 #ifndef PICOSIM_SIM_TICKED_HH
 #define PICOSIM_SIM_TICKED_HH
 
-#include <concepts>
 #include <string>
 #include <vector>
 
@@ -20,27 +19,33 @@ class Simulator;
 /**
  * A component evaluated at simulated cycles by the kernel.
  *
- * Under the event-driven kernel (the default), a component is evaluated
- * only at cycles for which it is scheduled in the kernel's timing wheel:
+ * A component states its schedule once, in nextDue(), and both kernels
+ * take their cycles from that one query:
  *
- *  - after every tick() the kernel re-arms the component at its own next
- *    due cycle (now + 1 while active(), wakeAt() otherwise);
- *  - any state mutation from outside the component's own tick() — a
- *    producer pushing into one of its queues, a consumer freeing space —
- *    must be accompanied by a requestWake() so the sleeping component is
- *    evaluated when that state becomes visible.
+ *  - the event-driven kernel (the default) evaluates a component only at
+ *    cycles for which it is armed in the timing wheel; after every
+ *    tick() it re-arms the component at nextDue(now + 1);
+ *  - the reference tick-the-world kernel (EvalMode::TickWorld) ticks
+ *    every component, in registration order, then advances to the
+ *    minimum nextDue(now + 1) over all components.
+ *
+ * Both apply the same clamp: a due at or before `next` (= now + 1) means
+ * "evaluate next cycle", and kCycleNever means "only when requestWake()
+ * asks". Any state mutation from outside the component's own tick() — a
+ * producer pushing into one of its queues, a consumer freeing space —
+ * must be accompanied by a requestWake() so the sleeping component is
+ * evaluated when that state becomes visible.
  *
  * Components scheduled for the same cycle are evaluated in registration
- * order, so results are bit-identical to the reference tick-the-world
- * kernel (EvalMode::TickWorld), which simply ticks every component in
- * registration order for every cycle in which at least one is active.
+ * order, so the event kernel's results are bit-identical to TickWorld's.
  *
- * Dispatch: tick()/active()/wakeAt() are virtual for flexibility (unit
- * tests subclass freely), but the kernel's per-event path goes through a
+ * Dispatch: tick()/nextDue() are virtual for flexibility (unit tests
+ * subclass freely), but the kernel's per-event path goes through a
  * flattened per-component function-pointer table. A concrete component
  * class calls bindFastDispatch<Self>() in its constructor to devirtualize
- * that table: the generated thunks call Self::tick() etc. statically, so
- * they inline into the thunk and skip the vtable load on every event.
+ * that table: the generated thunks call Self::tick() and Self::nextDue()
+ * statically, so they inline into the thunk and skip the vtable load on
+ * every event.
  */
 class Ticked
 {
@@ -50,10 +55,8 @@ class Ticked
         // Fallback thunks: dispatch through the vtable until a concrete
         // class binds itself via bindFastDispatch<Self>().
         tickFn_ = [](Ticked *t) { t->tick(); };
-        activeFn_ = [](const Ticked *t) { return t->active(); };
-        wakeAtFn_ = [](const Ticked *t) { return t->wakeAt(); };
         dueFn_ = [](const Ticked *t, Cycle next) {
-            return t->active() ? next : t->wakeAt();
+            return t->nextDue(next);
         };
     }
 
@@ -66,17 +69,14 @@ class Ticked
     virtual void tick() = 0;
 
     /**
-     * True when the component has work to do in the immediate next cycle
-     * (non-empty internal queues, in-flight operations, resumable harts).
+     * The cycle this component next needs to be evaluated at, given
+     * @p next = now + 1: any cycle at or before @p next when it has work
+     * in the immediate next cycle (non-empty internal queues, in-flight
+     * operations, resumable harts), else the earliest future cycle it
+     * must run at, or kCycleNever when it is idle until external
+     * stimulus arrives.
      */
-    virtual bool active() const = 0;
-
-    /**
-     * When inactive, the earliest future cycle at which the component needs
-     * to be ticked again (kCycleNever when it is fully idle until external
-     * stimulus arrives).
-     */
-    virtual Cycle wakeAt() const { return kCycleNever; }
+    virtual Cycle nextDue(Cycle next) const = 0;
 
     /**
      * Ask the owning kernel to evaluate this component at (or after)
@@ -100,49 +100,24 @@ class Ticked
     // -- Flattened kernel-facing dispatch --------------------------------
 
     void fastTick() { tickFn_(this); }
-    bool fastActive() const { return activeFn_(this); }
-    Cycle fastWakeAt() const { return wakeAtFn_(this); }
-
-    /**
-     * Fused re-arm query: the cycle this component next wants to run,
-     * given @p next = now + 1 — exactly `active() ? next : wakeAt()`.
-     * Components whose active()/wakeAt() scan the same state twice can
-     * provide a single-pass `Cycle nextSelfDue(Cycle next) const`;
-     * bindFastDispatch() picks it up automatically.
-     */
     Cycle fastDue(Cycle next) const { return dueFn_(this, next); }
 
   protected:
     /**
      * Devirtualize the kernel dispatch for the most-derived class. Call
      * from the constructor of the concrete component type; the qualified
-     * Self::tick() calls in the generated thunks bind statically and
-     * inline. Classes that skip this simply pay the virtual call.
+     * Self::tick()/Self::nextDue() calls in the generated thunks bind
+     * statically and inline. Classes that skip this simply pay the
+     * virtual call.
      */
     template <typename Self>
     void
     bindFastDispatch()
     {
         tickFn_ = [](Ticked *t) { static_cast<Self *>(t)->Self::tick(); };
-        activeFn_ = [](const Ticked *t) {
-            return static_cast<const Self *>(t)->Self::active();
+        dueFn_ = [](const Ticked *t, Cycle next) {
+            return static_cast<const Self *>(t)->Self::nextDue(next);
         };
-        wakeAtFn_ = [](const Ticked *t) {
-            return static_cast<const Self *>(t)->Self::wakeAt();
-        };
-        if constexpr (requires(const Self &s, Cycle c) {
-                          { s.nextSelfDue(c) } -> std::same_as<Cycle>;
-                      }) {
-            dueFn_ = [](const Ticked *t, Cycle next) {
-                return static_cast<const Self *>(t)->Self::nextSelfDue(
-                    next);
-            };
-        } else {
-            dueFn_ = [](const Ticked *t, Cycle next) {
-                const Self *s = static_cast<const Self *>(t);
-                return s->Self::active() ? next : s->Self::wakeAt();
-            };
-        }
     }
 
   private:
@@ -153,8 +128,6 @@ class Ticked
     // Flattened dispatch table (virtual-call thunks until a concrete
     // class binds itself).
     void (*tickFn_)(Ticked *) = nullptr;
-    bool (*activeFn_)(const Ticked *) = nullptr;
-    Cycle (*wakeAtFn_)(const Ticked *) = nullptr;
     Cycle (*dueFn_)(const Ticked *, Cycle) = nullptr;
 
     // -- Scheduling bookkeeping, owned by the registered Simulator --

@@ -35,6 +35,15 @@ struct Golden
     Cycle cycles;
 };
 
+/** The test name already says workload and runtime; the parameter
+ *  prints as its golden instead of gtest's raw bytes, which hold the
+ *  workload pointer and so changed with every build and ASLR base. */
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.cycles << " cycles";
+}
+
 // The seed-golden table (default HarnessParams, 8 cores, serial forced
 // to 1) — duplicated from test_seed_equivalence so a regression in one
 // suite cannot silently weaken the other.

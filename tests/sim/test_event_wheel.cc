@@ -42,7 +42,7 @@ class Recorder : public Ticked
     }
 
     void tick() override { journal_.emplace_back(id_, clk_.now()); }
-    bool active() const override { return false; }
+    Cycle nextDue(Cycle) const override { return kCycleNever; }
 
   private:
     const Clock &clk_;

@@ -4,10 +4,10 @@
 
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "sim/event_wheel.hh"
 #include "sim/kernel.hh"
 #include "sim/ticked.hh"
 
@@ -36,7 +36,11 @@ class CountDown : public Ticked
         }
     }
 
-    bool active() const override { return remaining_ > 0; }
+    Cycle
+    nextDue(Cycle next) const override
+    {
+        return remaining_ > 0 ? next : kCycleNever;
+    }
 
     unsigned remaining() const { return remaining_; }
     unsigned ticks() const { return ticks_; }
@@ -67,8 +71,11 @@ class Alarm : public Ticked
         }
     }
 
-    bool active() const override { return false; }
-    Cycle wakeAt() const override { return fired_ ? kCycleNever : at_; }
+    Cycle
+    nextDue(Cycle) const override
+    {
+        return fired_ ? kCycleNever : at_;
+    }
 
     bool fired() const { return fired_; }
     Cycle firedAt() const { return firedAt_; }
@@ -78,6 +85,47 @@ class Alarm : public Ticked
     Cycle at_;
     bool fired_ = false;
     Cycle firedAt_ = 0;
+};
+
+/**
+ * A queue of n items that become visible at one cycle; each evaluation
+ * from then on consumes one. While items remain, nextDue() keeps
+ * returning their visibility cycle, which is at or before now once they
+ * are visible — as Picos's does while visible packets sit in its ready
+ * queue. Both kernels must then evaluate it at now + 1.
+ */
+class Backlog : public Ticked
+{
+  public:
+    Backlog(const Clock &clk, Cycle visible_at, unsigned n)
+        : Ticked("backlog"), clk_(clk), visibleAt_(visible_at),
+          remaining_(n)
+    {
+    }
+
+    void
+    tick() override
+    {
+        if (remaining_ > 0 && clk_.now() >= visibleAt_) {
+            --remaining_;
+            consumedAt_.push_back(clk_.now());
+        }
+    }
+
+    Cycle
+    nextDue(Cycle) const override
+    {
+        return remaining_ > 0 ? visibleAt_ : kCycleNever;
+    }
+
+    unsigned remaining() const { return remaining_; }
+    const std::vector<Cycle> &consumedAt() const { return consumedAt_; }
+
+  private:
+    const Clock &clk_;
+    Cycle visibleAt_;
+    unsigned remaining_;
+    std::vector<Cycle> consumedAt_;
 };
 
 } // namespace
@@ -170,7 +218,7 @@ class WakeRecorder : public Ticked
     }
 
     void tick() override { journal_.emplace_back(name(), clk_.now()); }
-    bool active() const override { return false; }
+    Cycle nextDue(Cycle) const override { return kCycleNever; }
 
   private:
     const Clock &clk_;
@@ -278,16 +326,67 @@ TEST(EventKernel, SkipsQuiescentComponents)
 TEST(EventKernel, ModesProduceIdenticalSchedules)
 {
     // The same component set must see ticks at the same cycles under both
-    // kernels (modulo no-op ticks, which CountDown/Alarm don't record).
-    const auto run = [](EvalMode mode) {
+    // kernels (modulo no-op ticks, which the components don't record),
+    // whether driven by run() or by runFor(). Both kernels take their
+    // cycles from Ticked::nextDue(); each case covers one of its rules.
+    struct Case
+    {
+        const char *what;
+        unsigned countdown;    ///< CountDown's busy ticks
+        Cycle alarmAt;         ///< Alarm's self-scheduled cycle
+        Cycle backlogAt;       ///< Backlog's visibility cycle
+        unsigned backlogItems; ///< 0 = Backlog stays idle
+        Cycle horizon;         ///< run() limit, runFor() length
+    };
+    constexpr Cycle kBeyondWheel = 3 * EventWheel::kBuckets + 5;
+    const Case cases[] = {
+        {"busy, then a future due", 7, 5000, 0, 0, 100'000},
+        {"a due at or before now for a stretch", 7, 5000, 100, 20,
+         100'000},
+        {"a self-scheduled due beyond the wheel horizon", 3,
+         kBeyondWheel, 0, 0, kBeyondWheel + 100},
+    };
+
+    // Final clock, CountDown's last tick, Alarm's firing cycle, then
+    // every cycle Backlog consumed at.
+    const auto observe = [](const Case &c, EvalMode mode, bool run_for) {
         Simulator sim(mode);
-        CountDown cd(sim.clock(), 7);
-        Alarm alarm(sim.clock(), 5000);
+        CountDown cd(sim.clock(), c.countdown);
+        Alarm alarm(sim.clock(), c.alarmAt);
+        Backlog backlog(sim.clock(), c.backlogAt, c.backlogItems);
         sim.addTicked(&cd);
         sim.addTicked(&alarm);
-        EXPECT_TRUE(sim.run([&] { return alarm.fired(); }, 100'000));
-        return std::tuple{sim.clock().now(), cd.lastTick(),
-                          alarm.firedAt()};
+        sim.addTicked(&backlog);
+        if (run_for) {
+            sim.runFor(c.horizon);
+        } else {
+            EXPECT_TRUE(sim.run(
+                [&] {
+                    return alarm.fired() && cd.remaining() == 0 &&
+                           backlog.remaining() == 0;
+                },
+                c.horizon));
+        }
+        std::vector<Cycle> seen = {sim.clock().now(), cd.lastTick(),
+                                   alarm.firedAt()};
+        seen.insert(seen.end(), backlog.consumedAt().begin(),
+                    backlog.consumedAt().end());
+        return seen;
     };
-    EXPECT_EQ(run(EvalMode::EventDriven), run(EvalMode::TickWorld));
+
+    for (const Case &c : cases) {
+        std::vector<Cycle> backlogCycles;
+        for (unsigned i = 0; i < c.backlogItems; ++i)
+            backlogCycles.push_back(c.backlogAt + i);
+        for (const bool run_for : {false, true}) {
+            SCOPED_TRACE(std::string(c.what) +
+                         (run_for ? " via runFor()" : " via run()"));
+            const std::vector<Cycle> event =
+                observe(c, EvalMode::EventDriven, run_for);
+            EXPECT_EQ(event, observe(c, EvalMode::TickWorld, run_for));
+            EXPECT_EQ(event[2], c.alarmAt);
+            EXPECT_EQ(std::vector<Cycle>(event.begin() + 3, event.end()),
+                      backlogCycles);
+        }
+    }
 }

@@ -34,8 +34,11 @@ class Drain : public Ticked
         }
     }
 
-    bool active() const override { return port_->frontReady(); }
-    Cycle wakeAt() const override { return port_->nextReadyCycle(); }
+    Cycle
+    nextDue(Cycle) const override
+    {
+        return port_->nextReadyCycle();
+    }
 
     std::vector<std::pair<Cycle, int>> popped;
 
