@@ -3,14 +3,17 @@
  * Kernel-efficiency benchmark: quantifies what the event-driven kernel and
  * the parallel batch harness buy over the reference implementation.
  *
- *  1. Component-tick reduction and wall-clock speedup: Figure 8-style
- *     workloads run under EvalMode::EventDriven vs the tick-the-world
- *     reference, with identical cycle results. Each mode is run several
- *     times and the minimum wall time is reported, so the speedup is a
- *     ratio of floors rather than of noise.
- *  2. Batch throughput: the Figure 9 matrix swept by runBatch() with one
- *     worker vs a pool, with identical rows. The pool result is only
- *     meaningful relative to hostConcurrency (also emitted): on a
+ *  1. Component-tick reduction: Figure 8-style workloads run under
+ *     EvalMode::EventDriven vs the tick-the-world reference, with
+ *     identical cycle results. The wall times of both are printed too,
+ *     but these runs take milliseconds: they are no throughput measure.
+ *  2. Simulation throughput: simulated Mcycles per host second on named
+ *     runs of half a second or more — the Figure 9 matrix on one worker
+ *     and a 32-core sharded machine — each the fastest of several runs.
+ *     tools/check_perf.py gates these against a per-host baseline.
+ *  3. Batch throughput: the Figure 9 matrix swept with one worker vs a
+ *     pool, with identical rows. The pool result is only meaningful
+ *     relative to hostConcurrency (also emitted): on a
  *     single-hardware-thread host the pool cannot beat 1x by
  *     construction.
  *
@@ -99,6 +102,48 @@ compareModes(bench::BenchJson &json, const char *label,
     bench::stampHost(json);
 }
 
+/** Time one run of @p fn; keep its result in @p out when it is the
+ *  fastest so far (round 0 always is). */
+template <typename T, typename Fn>
+void
+keepFastest(unsigned round, double &best, T &out, Fn fn)
+{
+    T got{};
+    const double t = wallSeconds([&] { got = fn(); });
+    if (round == 0 || t < best) {
+        best = t;
+        out = std::move(got);
+    }
+}
+
+void
+throughputRow(bench::BenchJson &json, const char *label,
+              std::uint64_t simCycles, double wall, unsigned repeats)
+{
+    const double mcps =
+        wall > 0 ? static_cast<double>(simCycles) / wall / 1e6 : 0.0;
+    std::printf("%-42s %11llu cycles in %.3fs: %.1f Mcycles/s\n", label,
+                static_cast<unsigned long long>(simCycles), wall, mcps);
+    json.beginRow();
+    json.field("bench", "sim_throughput");
+    json.field("label", label);
+    json.field("simCycles", simCycles);
+    json.field("wallSec", wall);
+    json.field("repeats", std::uint64_t{repeats});
+    json.field("simMcyclesPerSec", mcps);
+    bench::stampHost(json);
+}
+
+/** Simulated cycles of every run in the matrix, serial baselines too. */
+std::uint64_t
+matrixCycles(const std::vector<bench::MatrixRow> &rows)
+{
+    std::uint64_t sum = 0;
+    for (const bench::MatrixRow &r : rows)
+        sum += r.serialCycles + r.nanosSw + r.nanosRv + r.phentos;
+    return sum;
+}
+
 } // namespace
 
 int
@@ -113,13 +158,13 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    const unsigned repeats = 3;
+    const unsigned repeats = 5;
 
     bench::BenchJson json("BENCH_kernel.json");
 
     std::printf("== Event-driven kernel vs tick-the-world reference ==\n");
     std::printf("(ticks = component evaluations; [=] = identical cycle "
-                "results; wall = min of %u runs)\n\n",
+                "results; wall = min of %u runs of a few ms, not gated)\n\n",
                 repeats);
 
     // Warm the process (allocator pools, lazy init, page faults) before
@@ -150,18 +195,48 @@ main(int argc, char **argv)
                           {{"tasks", 256}, {"deps", 1}, {"payload", 1'000}}),
                  repeats);
 
+    // hostbench's manycore machine on a larger sparselu: every cycle of
+    // ShardedPicos, the four managers and the timed memory in play.
+    spec::RunSpec manycore = bench::canonicalSpec(
+        "sparselu", {{"nb", 56}, {"bs", 24}}, rt::RuntimeKind::Phentos);
+    manycore.cores = 32;
+    manycore.schedShards = 4;
+    manycore.clusters = 4;
+    manycore.mem = mem::MemMode::Timed;
+    manycore.canonicalize();
+
     const unsigned hwThreads =
         std::max(1u, std::thread::hardware_concurrency());
     const unsigned poolThreads = 8;
+
+    // The timed legs run round by round, each keeping its fastest run:
+    // a burst of load on a shared host then costs one sample of every
+    // leg instead of every sample of one.
+    double tSerial = 0.0, tManycore = 0.0, tPool = 0.0;
+    std::vector<bench::MatrixRow> serialRows, poolRows;
+    rt::RunResult manycoreRes;
+    for (unsigned r = 0; r < repeats; ++r) {
+        keepFastest(r, tSerial, serialRows,
+                    [] { return bench::runFigure9Matrix(false, 1); });
+        keepFastest(r, tManycore, manycoreRes, [&] {
+            return spec::Engine::runInspected(manycore).result;
+        });
+        keepFastest(r, tPool, poolRows, [&] {
+            return bench::runFigure9Matrix(false, poolThreads);
+        });
+    }
+
+    std::printf("\n== Simulation throughput (fastest of %u runs) ==\n",
+                repeats);
+    throughputRow(json, "fig9 matrix, 1 worker", matrixCycles(serialRows),
+                  tSerial, repeats);
+    throughputRow(json, "manycore sparselu nb56 bs24 32-core 4x4",
+                  manycoreRes.cycles, tManycore, repeats);
+    bench::stampSpec(json, manycore);
+
     std::printf("\n== Parallel batch harness (Figure 9 sweep, %u worker "
                 "pool, %u hardware thread(s)) ==\n",
                 poolThreads, hwThreads);
-    std::vector<bench::MatrixRow> serialRows, poolRows;
-    const double tSerial = wallSeconds(
-        [&] { serialRows = bench::runFigure9Matrix(false, 1); });
-    const double tPool = wallSeconds(
-        [&] { poolRows = bench::runFigure9Matrix(false, poolThreads); });
-
     bool same = serialRows.size() == poolRows.size();
     for (std::size_t i = 0; same && i < serialRows.size(); ++i) {
         same = serialRows[i].serialCycles == poolRows[i].serialCycles &&

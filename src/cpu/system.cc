@@ -121,6 +121,16 @@ System::clusterOfCore(CoreId i) const
     return static_cast<unsigned>(((i + 1) * clusters + n - 1) / n - 1);
 }
 
+sim::StatGroup &
+System::statsAt(Cycle cycle)
+{
+    if (picos_)
+        picos_->flushStalls(cycle);
+    if (sharded_)
+        sharded_->flushStalls(cycle);
+    return sim_.stats();
+}
+
 bool
 System::allThreadsDone() const
 {

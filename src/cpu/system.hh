@@ -60,7 +60,16 @@ class System
 
     sim::Simulator &simulator() { return sim_; }
     const sim::Clock &clock() const { return sim_.clock(); }
-    sim::StatGroup &stats() { return sim_.stats(); }
+    /** The stat registry as of now (see statsAt()). */
+    sim::StatGroup &stats() { return statsAt(clock().now()); }
+
+    /**
+     * The stat registry with every open stall interval (see
+     * sim::StallInterval) counted up to @p cycle, exclusive. A
+     * checkpoint reads it as of its label: the first evaluated cycle at
+     * or past the label dispatches it, and nothing ran in between.
+     */
+    sim::StatGroup &statsAt(Cycle cycle);
 
     Core &core(CoreId i) { return *cores_.at(i); }
     delegate::PicosDelegate &delegateOf(CoreId i) { return *delegates_.at(i); }

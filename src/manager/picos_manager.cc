@@ -265,37 +265,54 @@ PicosManager::tick()
 Cycle
 PicosManager::nextDue(Cycle next) const
 {
-    if (grantedCore_ >= 0)
-        return next;
     // The encoder makes progress when collecting packets or when it can
     // emit its tuple; a stalled encoder (central queue full) sleeps until
     // the work-fetch path drains it.
     if (encodeCount_ == 3 ? roccReadyQueue_.canPush() : sched_.readyValid())
         return next;
-    const Cycle fb = finalBuffer_.nextReadyCycle();
-    if (fb <= next)
+    // The scheduler's submission and retirement queues: while one is
+    // full, its pipeline here sleeps until the scheduler's pop wakes it.
+    const bool subOpen = sched_.subCanAccept();
+    const bool retireOpen = sched_.retireCanAccept();
+    Cycle wake = subOpen ? finalBuffer_.nextReadyCycle() : kCycleNever;
+    if (wake <= next)
         return next;
+    if (grantedCore_ >= 0 && finalBuffer_.canPush()) {
+        // Stream the granted burst (a core push wakes us), then pad.
+        if (burstRemaining_ == 0)
+            return next;
+        wake = std::min(
+            wake, ports_[grantedCore_].subBuffer.nextReadyCycle());
+        if (wake <= next)
+            return next;
+    }
     const Cycle rq = routingQueue_.nextReadyCycle();
     const bool roccEmpty = roccReadyQueue_.empty();
     if (rq <= next && !roccEmpty)
         return next;
 
-    Cycle wake = fb;
     if (!roccEmpty || encodeCount_ > 0 || sched_.readyValid())
         wake = std::min(wake, rq);
     if (pendingRequests_ == 0 && pendingRetires_ == 0 &&
         readyOccupied_ == 0)
         return wake; // every per-core port is empty — nothing to scan
     for (const CorePort &port : ports_) {
-        const Cycle rr = port.requestQueue.nextReadyCycle();
-        const Cycle rb = port.retireBuffer.nextReadyCycle();
+        // A burst request waits while another burst holds the port.
+        const Cycle rr = grantedCore_ < 0
+                             ? port.requestQueue.nextReadyCycle()
+                             : kCycleNever;
+        const Cycle rb =
+            retireOpen ? port.retireBuffer.nextReadyCycle() : kCycleNever;
         if (rr <= next || rb <= next)
             return next;
         wake = std::min(wake, std::min(rr, rb));
         // Not work for the manager itself, but the kernel must advance
         // the clock across the private-queue latency so a polling
-        // consumer (or a run predicate) can observe the delivery.
-        wake = std::min(wake, port.readyQueue.nextReadyCycle());
+        // consumer (or a run predicate) can observe the delivery. A
+        // delivery already visible is the consumer's to schedule.
+        const Cycle delivered = port.readyQueue.nextReadyCycle();
+        if (delivered >= next)
+            wake = std::min(wake, delivered);
     }
     return wake;
 }

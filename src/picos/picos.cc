@@ -13,8 +13,6 @@ Picos::Picos(const sim::Clock &clock, const PicosParams &params,
       statSubPackets_(&stats.scalar("picos.subPackets")),
       statRetirePackets_(&stats.scalar("picos.retirePackets")),
       statDepEdges_(&stats.scalar("picos.depEdges")),
-      statDepTableStalls_(&stats.scalar("picos.depTableStalls")),
-      statTrsStalls_(&stats.scalar("picos.trsStalls")),
       statReadyIssued_(&stats.scalar("picos.readyIssued")),
       statBadRetires_(&stats.scalar("picos.badRetires")),
       statRetires_(&stats.scalar("picos.retires")),
@@ -23,7 +21,9 @@ Picos::Picos(const sim::Clock &clock, const PicosParams &params,
       readyQueue_(clock, params.readyQueueDepth, /*latency=*/1),
       retireQueue_(clock, params.retireQueueDepth, /*latency=*/1),
       tasks_(params.trsEntries),
-      depTable_(params.dctSets, params.dctWays)
+      depTable_(params.dctSets, params.dctWays),
+      depTableStall_(&stats.scalar("picos.depTableStalls")),
+      trsStall_(&stats.scalar("picos.trsStalls"))
 {
     collectBuffer_.reserve(rocc::kDescriptorPackets);
     for (std::uint32_t i = 0; i < params.trsEntries; ++i)
@@ -57,6 +57,23 @@ Picos::reset()
     readyBusyUntil_ = 0;
     readyIssuingId_ = -1;
     retireBusyUntil_ = 0;
+    depTableStall_.clear();
+    trsStall_.clear();
+}
+
+void
+Picos::flushStalls(Cycle as_of)
+{
+    depTableStall_.flush(as_of);
+    trsStall_.flush(as_of);
+}
+
+std::uint32_t
+Picos::popWakingProducer(sim::TimedFifo<std::uint32_t> &q)
+{
+    if (q.full() && readyListener_)
+        readyListener_->requestWake(clock_.now());
+    return q.pop();
 }
 
 bool
@@ -146,7 +163,7 @@ Picos::applyDescriptor()
                 dep.addr,
                 [this](const DepEntry &de) { return entryEvictable(de); });
             if (!e) {
-                ++*statDepTableStalls_;
+                depTableStall_.block(clock_.now());
                 return false;
             }
         }
@@ -171,6 +188,7 @@ Picos::applyDescriptor()
         ++gwDepIndex_;
     }
 
+    depTableStall_.release(clock_.now());
     task.swId = gwDesc_.swId;
     ++tasksProcessed_;
     ++inFlight_;
@@ -204,10 +222,11 @@ Picos::tickGateway()
                 // No reservation entry: exert backpressure by not
                 // consuming; the submission queue fills and software sees
                 // failed Submit Packet instructions.
-                ++*statTrsStalls_;
+                trsStall_.block(now);
                 return;
             }
-            collectBuffer_.push_back(subQueue_.pop());
+            trsStall_.release(now);
+            collectBuffer_.push_back(popWakingProducer(subQueue_));
             if (collectBuffer_.size() == rocc::kDescriptorPackets) {
                 gwDesc_ = rocc::decodeDescriptor(collectBuffer_);
                 collectBuffer_.clear();
@@ -258,8 +277,8 @@ Picos::tickReadyIssue()
             return;
         // Stream the three packets of the descriptor.
         const TaskEntry &t = tasks_[readyIssuingId_];
-        if (readyQueue_.capacity() - readyQueue_.size() < 3)
-            return; // wait for space
+        if (readySpace() < 3)
+            return; // readyPop() wakes us once there is room
         readyQueue_.push(static_cast<std::uint32_t>(readyIssuingId_));
         readyQueue_.push(static_cast<std::uint32_t>(t.swId >> 32));
         readyQueue_.push(static_cast<std::uint32_t>(t.swId & 0xffffffffu));
@@ -282,7 +301,7 @@ Picos::tickRetire()
     const Cycle now = clock_.now();
     if (now < retireBusyUntil_ || !retireQueue_.frontReady())
         return;
-    const std::uint32_t id = retireQueue_.pop();
+    const std::uint32_t id = popWakingProducer(retireQueue_);
     if (id >= tasks_.size() || tasks_[id].state != TaskState::Running) {
         ++*statBadRetires_;
         PSIM_WARN(clock_, "picos",
@@ -326,24 +345,46 @@ Picos::tick()
 Cycle
 Picos::nextDue(Cycle next) const
 {
-    if (gwState_ != GwState::Collect || !collectBuffer_.empty())
-        return next;
-    if (readyIssuingId_ >= 0 || !readyPending_.empty())
-        return next;
-    const Cycle sub = subQueue_.nextReadyCycle();
-    if (sub <= next)
-        return next;
-    const Cycle retire = retireQueue_.nextReadyCycle();
-    if (retire <= next)
-        return next;
+    // Retirement: the queue head, once visible and the pipeline is free.
+    Cycle due = retireQueue_.empty()
+                    ? kCycleNever
+                    : std::max(retireQueue_.nextReadyCycle(),
+                               retireBusyUntil_);
 
-    Cycle wake = std::min(sub, retire);
-    // Surface pending ready packets so the manager's encoder gets ticked
-    // even when everything else is quiescent.
-    wake = std::min(wake, readyQueue_.nextReadyCycle());
-    // The gateway is collecting and no ready issue is in flight here, so
-    // neither busy-until horizon can apply.
-    return wake;
+    // Gateway. A table stall, and a full TRS in front of a new
+    // descriptor once its first blocked cycle is counted, clear only on
+    // a retirement, which the term above already schedules: the
+    // retirement runs first in the same tick.
+    switch (gwState_) {
+      case GwState::Collect:
+        if (!collectBuffer_.empty() || !freeList_.empty() ||
+            !trsStall_.open())
+            due = std::min(due, subQueue_.nextReadyCycle());
+        break;
+      case GwState::Process:
+        due = std::min(due, gwBusyUntil_);
+        break;
+      case GwState::Stalled:
+        break;
+    }
+
+    // Ready issue; one blocked on queue space waits for readyPop().
+    if (readyIssuingId_ >= 0) {
+        if (readyBusyUntil_ > next)
+            due = std::min(due, readyBusyUntil_);
+        else if (readySpace() >= 3)
+            return next;
+    } else if (!readyPending_.empty()) {
+        return next;
+    }
+
+    // Ready packets not yet visible: the manager's encoder can take them
+    // from that cycle on, and TickWorld must evaluate it. Visible ones
+    // are the manager's own schedule.
+    const Cycle ready = readyQueue_.nextReadyCycle();
+    if (ready >= next)
+        due = std::min(due, ready);
+    return due;
 }
 
 bool

@@ -59,8 +59,10 @@ class Picos final : public sim::Ticked, public SchedulerIf
     std::uint32_t
     readyPop() override
     {
-        // Freed ready-queue space may unblock a stalled descriptor issue.
-        requestWake(clock_.now());
+        // The pop that makes room for a whole descriptor unblocks an
+        // issue waiting for it; nothing else here depends on the space.
+        if (readyIssuingId_ >= 0 && readySpace() == 2)
+            requestWake(clock_.now());
         return readyQueue_.pop();
     }
 
@@ -69,6 +71,9 @@ class Picos final : public sim::Ticked, public SchedulerIf
      * packet encoder). The event-driven kernel evaluates only scheduled
      * components, so Picos wakes its consumer whenever ready packets
      * become visible; without this the encoder would sleep through them.
+     * The same consumer feeds the submission and retirement queues, and
+     * a pop from either one while it is full wakes it too: a manager
+     * blocked on a full queue sleeps until then.
      */
     void
     setReadyListener(sim::Ticked *listener) override
@@ -92,6 +97,9 @@ class Picos final : public sim::Ticked, public SchedulerIf
     std::size_t depTableEntries() const { return depTable_.validEntries(); }
     std::uint64_t tasksProcessed() const { return tasksProcessed_; }
     std::uint64_t tasksRetired() const { return tasksRetired_; }
+
+    /** Count open stall intervals up to @p as_of (a stats read). */
+    void flushStalls(Cycle as_of);
 
     void reset();
 
@@ -132,6 +140,16 @@ class Picos final : public sim::Ticked, public SchedulerIf
 
     void markReady(std::uint32_t id);
 
+    std::size_t
+    readySpace() const
+    {
+        return readyQueue_.capacity() - readyQueue_.size();
+    }
+
+    /** Pop @p q's visible front, waking the ready listener when the pop
+     *  frees the slot a blocked producer waits for. */
+    std::uint32_t popWakingProducer(sim::TimedFifo<std::uint32_t> &q);
+
     const sim::Clock &clock_;
     PicosParams params_;
 
@@ -140,8 +158,6 @@ class Picos final : public sim::Ticked, public SchedulerIf
     sim::Scalar *statSubPackets_;
     sim::Scalar *statRetirePackets_;
     sim::Scalar *statDepEdges_;
-    sim::Scalar *statDepTableStalls_;
-    sim::Scalar *statTrsStalls_;
     sim::Scalar *statReadyIssued_;
     sim::Scalar *statBadRetires_;
     sim::Scalar *statRetires_;
@@ -178,6 +194,11 @@ class Picos final : public sim::Ticked, public SchedulerIf
 
     // Ready-interface consumer woken when ready packets become visible.
     sim::Ticked *readyListener_ = nullptr;
+
+    // The gateway's two stalls, counted as intervals (see StallInterval):
+    // both can only clear on a retirement.
+    sim::StallInterval depTableStall_;
+    sim::StallInterval trsStall_;
 
     std::uint64_t tasksProcessed_ = 0;
     std::uint64_t tasksRetired_ = 0;

@@ -23,9 +23,12 @@ constexpr std::uint32_t kNotifyIdMask = (1u << kNotifyClusterShift) - 1;
 ShardedPicos::Shard::Shard(const sim::Clock &clock, const PicosParams &p,
                            const TopologyParams &topo,
                            sim::StatGroup &stats, unsigned id,
-                           sim::Ticked *owner, std::size_t notify_cap)
+                           sim::Ticked *owner, std::size_t notify_cap,
+                           sim::Scalar *dep_table_stalls,
+                           sim::Scalar *trs_stalls)
     : table(p.dctSets, p.dctWays, id, topo.schedShards),
       gate(&stats, "sharded.s" + std::to_string(id) + ".gate"),
+      depTableStall(dep_table_stalls), trsStall(trs_stalls),
       notifyQueue(clock, {notify_cap, topo.xshardNotifyCycles, 0}, &stats,
                   "sharded.s" + std::to_string(id) + ".notify", owner)
 {
@@ -35,7 +38,8 @@ ShardedPicos::Cluster::Cluster(const sim::Clock &clock,
                                const PicosParams &p,
                                const TopologyParams &topo,
                                sim::StatGroup &stats, unsigned id,
-                               sim::Ticked *owner)
+                               sim::Ticked *owner,
+                               sim::Scalar *gateway_backpressure)
     // The cluster-link hop is charged at the gateway arbiter (see
     // tickRouters()).
     : subQueue(clock, {p.subQueueDepth, 1, 0}, &stats,
@@ -49,7 +53,8 @@ ShardedPicos::Cluster::Cluster(const sim::Clock &clock,
       // pinned to this cluster, so deeper buffering would hoard work a
       // dry neighbour could have stolen from readyPending.
       readyQueue(clock, {3, 1, 0}, &stats,
-                 "sharded.c" + std::to_string(id) + ".readyQueue")
+                 "sharded.c" + std::to_string(id) + ".readyQueue"),
+      backpressure(gateway_backpressure)
 {
     collectBuffer.reserve(rocc::kDescriptorPackets);
 }
@@ -64,13 +69,10 @@ ShardedPicos::ShardedPicos(const sim::Clock &clock,
       statRetirePackets_(&stats.scalar("sharded.retirePackets")),
       statDepEdges_(&stats.scalar("sharded.depEdges")),
       statCrossShardEdges_(&stats.scalar("sharded.crossShardEdges")),
-      statDepTableStalls_(&stats.scalar("sharded.depTableStalls")),
       statTasksProcessed_(&stats.scalar("sharded.tasksProcessed")),
       statCrossShardNotifies_(&stats.scalar("sharded.crossShardNotifies")),
       statRetires_(&stats.scalar("sharded.retires")),
       statBadRetires_(&stats.scalar("sharded.badRetires")),
-      statTrsStalls_(&stats.scalar("sharded.trsStalls")),
-      statGatewayBackpressure_(&stats.scalar("sharded.gatewayBackpressure")),
       statReadyIssued_(&stats.scalar("sharded.readyIssued")),
       statSteals_(&stats.scalar("sharded.steals")),
       statInFlight_(&stats.dist("sharded.inFlight"))
@@ -91,17 +93,21 @@ ShardedPicos::ShardedPicos(const sim::Clock &clock,
     // in-flight task crossing shards at once.
     const std::size_t notify_cap = tasks_.size() * rocc::kMaxDeps + 1;
 
+    sim::Scalar *dep_table_stalls = &stats.scalar("sharded.depTableStalls");
+    sim::Scalar *trs_stalls = &stats.scalar("sharded.trsStalls");
+    sim::Scalar *backpressure = &stats.scalar("sharded.gatewayBackpressure");
     shards_.reserve(topo_.schedShards);
     for (unsigned s = 0; s < topo_.schedShards; ++s) {
         shards_.emplace_back(clock, params_, topo_, stats, s, this,
-                             notify_cap);
+                             notify_cap, dep_table_stalls, trs_stalls);
         for (std::uint32_t i = 0; i < params_.trsEntries; ++i)
             shards_[s].freeList.push_back(s * params_.trsEntries + i);
     }
     clusters_.reserve(topo_.clusters);
     ports_.reserve(topo_.clusters);
     for (unsigned c = 0; c < topo_.clusters; ++c) {
-        clusters_.emplace_back(clock, params_, topo_, stats, c, this);
+        clusters_.emplace_back(clock, params_, topo_, stats, c, this,
+                               backpressure);
         ports_.emplace_back(*this, c);
     }
     bindFastDispatch<ShardedPicos>();
@@ -139,15 +145,20 @@ ShardedPicos::ClusterPort::readyValid() const
 std::uint32_t
 ShardedPicos::ClusterPort::readyPop()
 {
-    // Freed ready-queue space may unblock a stalled packet issue.
-    sp_.requestWake(sp_.clock_.now());
-    return sp_.clusters_[c_].readyQueue.pop();
+    // The pop that makes room for a whole tuple may unblock this
+    // cluster's packet issue, or let it steal.
+    Cluster &cl = sp_.clusters_[c_];
+    if (sp_.readySpace(cl) == 2)
+        sp_.requestWake(sp_.clock_.now());
+    return cl.readyQueue.pop();
 }
 
 void
 ShardedPicos::ClusterPort::setReadyListener(sim::Ticked *listener)
 {
-    sp_.clusters_[c_].readyQueue.setOwner(listener);
+    Cluster &cl = sp_.clusters_[c_];
+    cl.readyQueue.setOwner(listener);
+    cl.manager = listener;
 }
 
 bool
@@ -256,7 +267,8 @@ ShardedPicos::applyDescriptor(Shard &sh)
                 return entryEvictable(de);
             });
             if (!e) {
-                ++*statDepTableStalls_;
+                sh.depTableStall.block(clock_.now());
+                sh.stallRetired = tasksRetired_;
                 return false;
             }
         }
@@ -280,6 +292,7 @@ ShardedPicos::applyDescriptor(Shard &sh)
         ++sh.gwDepIndex;
     }
 
+    sh.depTableStall.release(clock_.now(), shardHold(sh.table.shardId()));
     task.swId = sh.gwDesc.swId;
     ++tasksProcessed_;
     ++*statTasksProcessed_;
@@ -327,6 +340,15 @@ ShardedPicos::wakeDependent(std::uint32_t id, unsigned cluster)
 }
 
 // -- Pipelines ----------------------------------------------------------
+
+std::uint32_t
+ShardedPicos::popWakingProducer(Cluster &cl,
+                                sim::TimedPort<std::uint32_t> &q)
+{
+    if (q.full() && cl.manager)
+        cl.manager->requestWake(clock_.now());
+    return q.pop();
+}
 
 void
 ShardedPicos::tickNotify()
@@ -400,7 +422,7 @@ ShardedPicos::tickRetire()
         const std::uint32_t id = cl.retireQueue.front();
         if (id >= tasks_.size() ||
             tasks_[id].state != TaskState::Running) {
-            cl.retireQueue.pop();
+            popWakingProducer(cl, cl.retireQueue);
             ++*statBadRetires_;
             PSIM_WARN(clock_, "sharded",
                       "retire of task " << id << " in invalid state");
@@ -411,7 +433,7 @@ ShardedPicos::tickRetire()
         // like a busy retire pipeline — in-order service per cluster.
         if (served[s] || shards_[s].retireBusyUntil > now || shardDown(s))
             continue;
-        cl.retireQueue.pop();
+        popWakingProducer(cl, cl.retireQueue);
         finishRetire(shards_[s], id);
         served[s] = true;
         if (first < 0)
@@ -436,9 +458,10 @@ ShardedPicos::tickGateways()
             if (sh.freeList.empty()) {
                 // Backpressure: hold the descriptor at the gateway until
                 // a retirement frees a reservation entry.
-                ++*statTrsStalls_;
+                sh.trsStall.block(now);
                 continue;
             }
+            sh.trsStall.release(now, shardHold(s));
             PendingDesc &pending = sh.inQueue.front();
             const std::uint32_t id = sh.freeList.front();
             sh.freeList.pop_front();
@@ -482,13 +505,16 @@ ShardedPicos::tickRouters()
                 cl.hasDecoded = false;
                 if (dep_free)
                     cl.rrShard = (cl.rrShard + 1) % topo_.schedShards;
+                cl.backpressure.release(now, linkHold(c));
             } else {
-                ++*statGatewayBackpressure_;
+                // The gateway's queue pop makes room: it runs earlier in
+                // this same tick, and nextDue() watches the queue.
+                cl.backpressure.block(now);
             }
         }
         // Collect one submission packet per cycle into the descriptor.
         if (!cl.hasDecoded && cl.subQueue.frontReady()) {
-            cl.collectBuffer.push_back(cl.subQueue.pop());
+            cl.collectBuffer.push_back(popWakingProducer(cl, cl.subQueue));
             if (cl.collectBuffer.size() == rocc::kDescriptorPackets) {
                 cl.decoded = rocc::decodeDescriptor(cl.collectBuffer);
                 cl.collectBuffer.clear();
@@ -506,8 +532,8 @@ ShardedPicos::tickReadyIssue()
         Cluster &cl = clusters_[c];
         if (cl.readyIssuingId >= 0 && now >= cl.readyBusyUntil) {
             // Stream the three packets of the ready descriptor.
-            if (cl.readyQueue.capacity() - cl.readyQueue.size() < 3)
-                continue; // wait for space
+            if (readySpace(cl) < 3)
+                continue; // readyPop() wakes us once there is room
             const TaskEntry &t = tasks_[cl.readyIssuingId];
             cl.readyQueue.push(
                 static_cast<std::uint32_t>(cl.readyIssuingId));
@@ -526,8 +552,7 @@ ShardedPicos::tickReadyIssue()
             cl.readyIssuingId = static_cast<int>(cl.readyPending.front());
             cl.readyPending.pop_front();
             cl.readyBusyUntil = now + params_.readyIssueCycles;
-        } else if (topo_.workStealing &&
-                   cl.readyQueue.capacity() - cl.readyQueue.size() >= 3) {
+        } else if (topo_.workStealing && readySpace(cl) >= 3) {
             // Local queue ran dry: steal from the longest remote queue
             // (LIFO end), paying the remote-access penalty.
             int victim = -1;
@@ -578,41 +603,87 @@ ShardedPicos::nextDue(Cycle next) const
         // through the outage. The gate is a pure function of the
         // clock, so the deferral is deterministic.
         const bool down = shardDown(s);
-        if (sh.gwTaskId >= 0)
-            merge(gateFault(next, down)); // dep-table stall retry
-        if (!sh.inQueue.empty())
+        if (sh.gwTaskId >= 0) {
+            // Dep-table stall: retry once something retired since the
+            // failed attempt. A retirement runs before the gateways in
+            // the same tick, so this is only due after an outage.
+            if (tasksRetired_ != sh.stallRetired)
+                merge(gateFault(next, down));
+        } else if (!sh.inQueue.empty() &&
+                   (!sh.trsStall.open() || !sh.freeList.empty())) {
+            // The head descriptor once granted; a full TRS sleeps until
+            // a retirement frees an entry of this shard.
             merge(gateFault(std::max(sh.inQueue.front().readyAt, next),
                             down));
+        }
         merge(gateFault(sh.notifyQueue.nextReadyCycle(), down));
     }
+
+    bool anyPending = false;
+    for (const Cluster &cl : clusters_)
+        anyPending = anyPending || !cl.readyPending.empty();
+
     for (unsigned c = 0; c < clusters_.size(); ++c) {
         const Cluster &cl = clusters_[c];
         const bool linkDown = clusterLinkDown(c);
-        if (!cl.collectBuffer.empty() || cl.hasDecoded)
-            merge(gateFault(next, linkDown));
-        merge(gateFault(cl.subQueue.nextReadyCycle(), linkDown));
-        const Cycle retire_ready = cl.retireQueue.nextReadyCycle();
-        if (retire_ready != kCycleNever) {
-            // A consumable head homed on a down shard is head-of-line
-            // blocked until the heal; anything else is serviceable.
-            bool blocked = false;
+        if (cl.hasDecoded) {
+            // The first dispatch attempt, then only once the home
+            // gateway's queue (popped in this same tick) has room.
+            const Shard &home = shards_[shardOfDesc(cl.decoded, cl)];
+            if (!cl.backpressure.open() ||
+                home.inQueue.size() < topo_.gatewayQueueDepth)
+                merge(gateFault(next, linkDown));
+        } else {
+            merge(gateFault(cl.subQueue.nextReadyCycle(), linkDown));
+        }
+        if (!cl.retireQueue.empty()) {
+            // A visible head waits for its home shard's retire pipeline
+            // (head-of-line, also through an outage); an invalid one is
+            // dropped at once.
             if (cl.retireQueue.frontReady()) {
                 const std::uint32_t id = cl.retireQueue.front();
-                blocked = id < tasks_.size() &&
-                          tasks_[id].state == TaskState::Running &&
-                          shardDown(homeShardOf(id));
+                if (id >= tasks_.size() ||
+                    tasks_[id].state != TaskState::Running) {
+                    merge(next);
+                } else {
+                    const unsigned s = homeShardOf(id);
+                    merge(gateFault(
+                        std::max(shards_[s].retireBusyUntil, next),
+                        shardDown(s)));
+                }
+            } else {
+                merge(cl.retireQueue.nextReadyCycle());
             }
-            merge(gateFault(std::max(retire_ready, next), blocked));
         }
-        if (cl.readyIssuingId >= 0)
-            merge(std::max(cl.readyBusyUntil, next));
-        if (!cl.readyPending.empty())
-            merge(next);
-        // Surface pending ready packets so the cluster's manager gets
-        // the clock advanced across the queue latency.
-        merge(cl.readyQueue.nextReadyCycle());
+        if (cl.readyIssuingId >= 0) {
+            // A tuple blocked on queue space waits for readyPop().
+            if (cl.readyBusyUntil > next)
+                merge(cl.readyBusyUntil);
+            else if (readySpace(cl) >= 3)
+                merge(next);
+        } else if (!cl.readyPending.empty() ||
+                   (topo_.workStealing && anyPending &&
+                    readySpace(cl) >= 3)) {
+            merge(next); // issue locally, or steal
+        }
+        // Ready packets not yet visible: the cluster's manager can take
+        // them from that cycle on, and TickWorld must evaluate it.
+        const Cycle ready = cl.readyQueue.nextReadyCycle();
+        if (ready >= next)
+            merge(ready);
     }
     return due;
+}
+
+void
+ShardedPicos::flushStalls(Cycle as_of)
+{
+    for (unsigned s = 0; s < shards_.size(); ++s) {
+        shards_[s].depTableStall.flush(as_of, shardHold(s));
+        shards_[s].trsStall.flush(as_of, shardHold(s));
+    }
+    for (unsigned c = 0; c < clusters_.size(); ++c)
+        clusters_[c].backpressure.flush(as_of, linkHold(c));
 }
 
 bool

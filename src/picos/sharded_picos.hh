@@ -79,6 +79,9 @@ class ShardedPicos final : public sim::Ticked
     /** Earliest cycle at which internal progress is possible. */
     Cycle nextDue(Cycle next) const override;
 
+    /** Count open stall intervals up to @p as_of (a stats read). */
+    void flushStalls(Cycle as_of);
+
     // -- Introspection (tests, stats) --
     unsigned numShards() const { return topo_.schedShards; }
     unsigned numClusters() const { return topo_.clusters; }
@@ -118,7 +121,8 @@ class ShardedPicos final : public sim::Ticked
     {
         Shard(const sim::Clock &clock, const PicosParams &p,
               const TopologyParams &topo, sim::StatGroup &stats,
-              unsigned id, sim::Ticked *owner, std::size_t notify_cap);
+              unsigned id, sim::Ticked *owner, std::size_t notify_cap,
+              sim::Scalar *dep_table_stalls, sim::Scalar *trs_stalls);
 
         DepTable table;
         sim::Arbiter gate; ///< gateway serialization across clusters
@@ -128,6 +132,12 @@ class ShardedPicos final : public sim::Ticked
         int gwTaskId = -1;
         std::size_t gwDepIndex = 0;
         rocc::TaskDescriptor gwDesc;
+
+        // Both gateway stalls clear only on a retirement (a table way or
+        // a reservation entry freed); counted as intervals.
+        sim::StallInterval depTableStall;
+        sim::StallInterval trsStall;
+        std::uint64_t stallRetired = 0; ///< tasksRetired_ at the stall
 
         std::deque<std::uint32_t> freeList; ///< global ids of this slice
         Cycle retireBusyUntil = 0;
@@ -140,7 +150,8 @@ class ShardedPicos final : public sim::Ticked
     {
         Cluster(const sim::Clock &clock, const PicosParams &p,
                 const TopologyParams &topo, sim::StatGroup &stats,
-                unsigned id, sim::Ticked *owner);
+                unsigned id, sim::Ticked *owner,
+                sim::Scalar *gateway_backpressure);
 
         sim::TimedPort<std::uint32_t> subQueue;    ///< manager -> router
         sim::TimedPort<std::uint32_t> retireQueue; ///< manager -> shards
@@ -150,6 +161,13 @@ class ShardedPicos final : public sim::Ticked
         bool hasDecoded = false;
         rocc::TaskDescriptor decoded;
         unsigned rrShard = 0; ///< round-robin home for dep-free tasks
+
+        /** The decoded descriptor waits on a full gateway queue. */
+        sim::StallInterval backpressure;
+
+        /** The cluster's manager, woken when a pop frees a slot of a
+         *  full submission or retirement queue. */
+        sim::Ticked *manager = nullptr;
 
         std::deque<std::uint32_t> readyPending;
         Cycle readyBusyUntil = 0;
@@ -189,6 +207,17 @@ class ShardedPicos final : public sim::Ticked
     void wakeDependent(std::uint32_t id, unsigned cluster);
     void finishRetire(Shard &sh, std::uint32_t id);
 
+    /** Pop @p q's visible front, waking @p cl's manager when the pop
+     *  frees the slot it may be blocked on. */
+    std::uint32_t popWakingProducer(Cluster &cl,
+                                    sim::TimedPort<std::uint32_t> &q);
+
+    std::size_t
+    readySpace(const Cluster &cl) const
+    {
+        return cl.readyQueue.capacity() - cl.readyQueue.size();
+    }
+
     void tickNotify();
     void tickRetire();
     void tickGateways();
@@ -222,6 +251,29 @@ class ShardedPicos final : public sim::Ticked
                fault_.target == c && faultDownNow();
     }
 
+    /** Cycles the armed fault holds a component down, if it targets it;
+     *  its stalls go unretried (and uncounted) then. */
+    sim::HoldWindow
+    holdOf(sim::FaultKind kind, unsigned target) const
+    {
+        if (fault_.kind != kind || fault_.target != target)
+            return {};
+        return {fault_.cycle,
+                fault_.until == 0 ? kCycleNever : fault_.until};
+    }
+
+    sim::HoldWindow
+    shardHold(unsigned s) const
+    {
+        return holdOf(sim::FaultKind::KillShard, s);
+    }
+
+    sim::HoldWindow
+    linkHold(unsigned c) const
+    {
+        return holdOf(sim::FaultKind::StallLink, c);
+    }
+
     /**
      * Defer a nextDue() source belonging to a currently-down component:
      * nothing will service it before the fault heals, so waking for it
@@ -248,13 +300,10 @@ class ShardedPicos final : public sim::Ticked
     sim::Scalar *statRetirePackets_;
     sim::Scalar *statDepEdges_;
     sim::Scalar *statCrossShardEdges_;
-    sim::Scalar *statDepTableStalls_;
     sim::Scalar *statTasksProcessed_;
     sim::Scalar *statCrossShardNotifies_;
     sim::Scalar *statRetires_;
     sim::Scalar *statBadRetires_;
-    sim::Scalar *statTrsStalls_;
-    sim::Scalar *statGatewayBackpressure_;
     sim::Scalar *statReadyIssued_;
     sim::Scalar *statSteals_;
     sim::Distribution *statInFlight_;

@@ -159,8 +159,10 @@ armCheckpoints(cpu::System &sys, const RunControls &ctl)
         // turns into RunStatus::Error.
         [out, sysp, resume, dumps, cb](Cycle boundary) noexcept {
             try {
+                // As of the label, not the dispatch cycle: a clock
+                // advance that crossed it evaluated nothing in between.
                 std::ostringstream os;
-                sysp->stats().dump(os);
+                sysp->statsAt(boundary).dump(os);
                 sysp->memory().stats().dump(os);
                 std::string dump = os.str();
 

@@ -86,6 +86,74 @@ class Distribution
 };
 
 /**
+ * Cycles [begin, end) during which a component is held down (a fault),
+ * so a stall it is in goes unretried. end = kCycleNever when it never
+ * heals; the default window is empty.
+ */
+struct HoldWindow
+{
+    Cycle begin = kCycleNever;
+    Cycle end = kCycleNever;
+};
+
+/**
+ * A stall counter kept as an interval. A component blocked on a
+ * consumer sleeps until the consumer's pop or retirement wakes it, so
+ * nothing retries once per blocked cycle, and TickWorld ticks it at
+ * cycles the event kernel skips. The counter still reads what a retry
+ * every cycle would count: 1 at the stall's first cycle, plus every
+ * cycle until release, less the cycles a hold window covers. An open
+ * interval is added to the counter whenever the stats are read (flush).
+ */
+class StallInterval
+{
+  public:
+    explicit StallInterval(Scalar *counter) : counter_(counter) {}
+
+    bool open() const { return from_ != kCycleNever; }
+
+    /** An attempt blocked at @p now; opens the interval, counting @p now. */
+    void
+    block(Cycle now)
+    {
+        if (open())
+            return;
+        ++*counter_;
+        from_ = now + 1;
+    }
+
+    /** The blocked attempt went through at @p now: count up to it, close. */
+    void
+    release(Cycle now, HoldWindow hold = {})
+    {
+        flush(now, hold);
+        from_ = kCycleNever;
+    }
+
+    /** Count the open interval's cycles before @p asOf. */
+    void
+    flush(Cycle asOf, HoldWindow hold = {})
+    {
+        if (!open() || asOf <= from_)
+            return;
+        Cycle n = asOf - from_;
+        const Cycle lo = std::max(from_, hold.begin);
+        const Cycle hi = std::min(asOf, hold.end);
+        if (hi > lo)
+            n -= hi - lo;
+        *counter_ += static_cast<double>(n);
+        from_ = asOf;
+    }
+
+    /** Drop an open interval without counting it (component reset). */
+    void clear() { from_ = kCycleNever; }
+
+  private:
+    Scalar *counter_;
+    Cycle from_ = kCycleNever; ///< first cycle not yet counted; never = closed
+};
+
+/**
  * A flat registry of named statistics. Hierarchy is encoded in the names
  * ("picos.readyQueue.pops") like gem5's stat dump.
  */

@@ -51,49 +51,58 @@ PrintTo(const WorkCeiling &c, std::ostream *os)
 constexpr WorkCeiling kCeilings[] = {
     // kernel_speedup's mode_compare rows.
     {"blackscholes_4K_B32_Phentos",
-     "workload=blackscholes wl.options=4096 wl.block=32", 427'858,
-     354'565},
+     "workload=blackscholes wl.options=4096 wl.block=32", 20'218,
+     12'542},
     {"blackscholes_4K_B256_Phentos",
-     "workload=blackscholes wl.options=4096 wl.block=256", 156'709,
-     155'336},
+     "workload=blackscholes wl.options=4096 wl.block=256", 8'851,
+     7'586},
     {"task_free_g10k_Phentos",
      "workload=task-free wl.tasks=256 wl.deps=1 wl.payload=10000",
-     455'828, 437'515},
+     33'428, 19'263},
     {"task_free_g10k_Nanos_RV",
      "workload=task-free wl.tasks=256 wl.deps=1 wl.payload=10000 "
      "runtime=nanos-rv",
-     553'333, 527'285},
+     48'396, 34'195},
     {"task_chain_g1k_Phentos",
      "workload=task-chain wl.tasks=256 wl.deps=1 wl.payload=1000",
-     109'747, 67'488},
+     91'291, 52'840},
 
     // Figure 9 inputs under both hardware-assisted runtimes.
     {"stream_deps_128x1024_Phentos",
      "workload=stream-deps wl.blocks=128 wl.elems=1024 wl.iters=2",
-     1'966'042, 1'142'051},
+     129'869, 72'279},
     {"stream_deps_128x1024_Nanos_RV",
      "workload=stream-deps wl.blocks=128 wl.elems=1024 wl.iters=2 "
      "runtime=nanos-rv",
-     3'171'192, 3'024'642},
+     219'600, 161'180},
     {"sparselu_N32_M16_Phentos", "workload=sparselu wl.nb=8 wl.bs=96",
-     5'279'309, 5'205'042},
+     3'618'504, 3'544'658},
     {"sparselu_N32_M16_Nanos_RV",
-     "workload=sparselu wl.nb=8 wl.bs=96 runtime=nanos-rv", 12'850'820,
-     12'630'077},
+     "workload=sparselu wl.nb=8 wl.bs=96 runtime=nanos-rv", 736'500,
+     725'651},
     {"jacobi_N128_B1_Phentos",
-     "workload=jacobi wl.n=128 wl.block-rows=1 wl.sweeps=8", 336'911,
-     208'682},
+     "workload=jacobi wl.n=128 wl.block-rows=1 wl.sweeps=8", 129'226,
+     69'112},
     {"jacobi_N128_B1_Nanos_RV",
      "workload=jacobi wl.n=128 wl.block-rows=1 wl.sweeps=8 "
      "runtime=nanos-rv",
-     3'520'915, 3'338'387},
+     250'256, 187'689},
+
+    // The heaviest Figure 9 run, 35,777,083 simulated cycles, most of
+    // them spent with Picos and the manager waiting on each other. The
+    // ceiling keeps its evaluated cycles under 5% of them.
+    {"stream_deps_4096x4096_Phentos",
+     "workload=stream-deps wl.blocks=1024 wl.elems=4096 wl.iters=2",
+     1'045'580, 586'838},
 
     // hostbench's manycore-sharded machine, at one fixed sparselu seed.
+    // ShardedPicos takes about 52k of these ticks: under 25% of the
+    // evaluated cycles.
     {"manycore_sharded_sparselu_nb16_bs24",
      "workload=sparselu wl.nb=16 wl.bs=24 wl.seed=15132624633787722197 "
      "cores=32 sched-shards=4 clusters=4 steal=on mem=timed "
      "runtime=phentos",
-     3'689'107, 2'933'465},
+     972'535, 556'471},
 };
 
 } // namespace

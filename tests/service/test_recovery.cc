@@ -110,6 +110,26 @@ awaitRunning(JobManager &mgr, std::uint64_t id)
     }
 }
 
+/** Poll @p dir's journal until it holds a checkpoint record of job
+ *  @p id (fails the test on a 60s stall): evidence that the run is past
+ *  its first checkpoint, whatever the host speed. */
+void
+awaitCheckpointRecord(const std::string &dir, std::uint64_t id)
+{
+    const std::string head =
+        "{\"type\":\"checkpoint\",\"id\":" + std::to_string(id) + ",";
+    const auto limit =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    for (;;) {
+        for (const std::string &payload : Journal::readAll(dir, nullptr))
+            if (payload.starts_with(head))
+                return;
+        if (std::chrono::steady_clock::now() > limit)
+            FAIL() << "job " << id << " journaled no checkpoint";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+}
+
 } // namespace
 
 TEST(JobStateNames, RoundTripThroughTheJournalSpelling)
@@ -214,9 +234,8 @@ TEST(Recovery, InterruptedRunResumesBitIdentically)
     {
         JobManager mgr(journaled(dir));
         id = mgr.submit(singleRunJob(longSpec()));
-        awaitRunning(mgr, id);
-        // Give the run time to pass some checkpoints, then "crash".
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        // "Crash" once the run is past a durable checkpoint.
+        awaitCheckpointRecord(dir, id);
     }
 
     JobManager mgr(journaled(dir));
@@ -225,6 +244,8 @@ TEST(Recovery, InterruptedRunResumesBitIdentically)
     const auto row = mgr.waitRow(id, 0);
     ASSERT_TRUE(row.has_value() && row->done);
     EXPECT_EQ(row->result.status, rt::RunStatus::Ok);
+    // The crash landed mid-run: the recovered row resumed from a cut.
+    EXPECT_NE(row->result.resumedFromCycle, 0u);
     EXPECT_EQ(resultKey(row->result),
               resultKey(spec::Engine::run(longSpec())));
 }

@@ -5,8 +5,10 @@ checked-in baseline.
 Fails (exit 1) when:
   * any row reports identical: false (the event kernel diverged from the
     tick-the-world reference — a correctness bug, never acceptable);
-  * a mode_compare row's wallSpeedup regressed more than the tolerance
-    below its baseline value;
+  * a sim_throughput row's simMcyclesPerSec (simulated cycles per host
+    second on a named run of half a second or more, the fastest of
+    several runs) fell more than the tolerance below its baseline, or
+    has no baseline row at all;
   * a batch_throughput poolSpeedup regressed more than the tolerance
     below baseline — but ONLY when both the fresh row and the baseline
     row were measured with hostConcurrency > 1. On a single-hardware-
@@ -17,12 +19,14 @@ Rows stamped with a "spec" field (the serialized RunSpec that produced
 the measurement) are reported with a replay hint on failure: feed the
 spec back through `picosim_run --spec` to reproduce the exact run.
 
-Wall-clock seconds are machine-dependent, so the gate is on wallSpeedup —
-the event-driven/tick-world ratio measured within one process on one
-machine, which transfers across hosts far better than absolute times.
+Throughput is absolute, so the baseline belongs to one host: retake it
+(`kernel_speedup --quick` in a Release+LTO build) when the host changes.
 The tolerance is generous (CI machines are noisy neighbours), but a real
-scheduler regression — an O(log n) structure creeping back, a per-event
-allocation — shifts the ratio well past it.
+regression — a component polled every cycle again, an O(log n)
+structure creeping back, a per-event allocation — costs several times
+it. mode_compare rows are not gated on time: they time runs of a few
+milliseconds, and their event/TickWorld wall ratio moves with either
+kernel.
 
 With --expect-scaling[=FLOOR] the gate additionally enforces an
 ABSOLUTE floor (default 1.05x) on every fresh poolSpeedup row: a
@@ -81,26 +85,26 @@ def main():
     base_by_label = {
         row["label"]: row
         for row in baseline
-        if row.get("bench") == "mode_compare"
+        if row.get("bench") == "sim_throughput"
     }
     for row in fresh:
-        if row.get("bench") != "mode_compare":
+        if row.get("bench") != "sim_throughput":
             continue
         label = row["label"]
         base = base_by_label.get(label)
         if base is None:
-            print(f"note: no baseline for '{label}' (new row?) — skipped")
+            failures.append(f"'{label}' has no baseline row: add one")
             continue
-        got = float(row["wallSpeedup"])
-        want = float(base["wallSpeedup"])
+        got = float(row["simMcyclesPerSec"])
+        want = float(base["simMcyclesPerSec"])
         floor = want * (1.0 - tolerance)
         status = "ok" if got >= floor else "REGRESSION"
-        print(f"{label:32s} wallSpeedup {got:6.2f}x "
-              f"(baseline {want:.2f}x, floor {floor:.2f}x) {status}")
+        print(f"{label:42s} {got:8.1f} Mcycles/s "
+              f"(baseline {want:.1f}, floor {floor:.1f}) {status}")
         if got < floor:
             failures.append(
-                f"'{label}' wallSpeedup {got:.2f}x fell more than "
-                f"{tolerance:.0%} below the baseline {want:.2f}x"
+                f"'{label}' simulated {got:.1f} Mcycles/s, more than "
+                f"{tolerance:.0%} below the baseline {want:.1f}"
                 + replay_hint(row))
 
     def host_concurrency(row):
